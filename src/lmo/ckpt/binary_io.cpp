@@ -140,6 +140,13 @@ std::string ByteReader::string() {
 
 std::vector<float> ByteReader::f32_array() {
   const std::uint64_t count = u64();
+  // Compare before multiplying: count * 4 can wrap to a small size.
+  if (count > remaining() / sizeof(float)) {
+    throw util::CheckpointTruncated(
+        "checkpoint payload truncated: f32 array of " + std::to_string(count) +
+        " values at offset " + std::to_string(cursor_) + ", have " +
+        std::to_string(remaining()) + " bytes");
+  }
   const auto raw = take(static_cast<std::size_t>(count) * sizeof(float));
   std::vector<float> values(static_cast<std::size_t>(count));
   for (std::size_t i = 0; i < values.size(); ++i) {

@@ -28,7 +28,11 @@ inline constexpr std::uint64_t kMagic = 0x0054504B434F4D4CULL;  // "LMOCKPT\0"
 // Version 3: RuntimeConfig gained the disk-tier fingerprint fields
 // (disk_layers, disk_capacity, spill_block_bytes) and kRecoveryMeta joined
 // the payload kinds.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// Version 4: one KV cache codec over visible rows (the per-backend flavor
+// tags are gone) and RuntimeConfig dropped the backend selector and page
+// size. v3 files are rejected with CheckpointVersionMismatch; there is no
+// v3 reader.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// What a checkpoint payload contains. Stored in the header so `lmo resume`
 /// can reject, say, a future scheduler snapshot with a clear error instead

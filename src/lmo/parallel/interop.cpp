@@ -21,6 +21,10 @@ InterOpStats run_graph(const model::OpGraph& graph, ThreadPool& pool,
   std::vector<int> remaining_deps(n, 0);
   std::vector<model::OpId> ready;
   std::size_t in_flight = 0;
+  // Worker callbacks that may still touch this frame's locals: a callback
+  // keeps using them (pump, notify) after its op completes, so the frame
+  // must not be left until every callback has finished.
+  std::size_t callbacks = 0;
   std::size_t completed = 0;
   std::size_t peak = 0;
   std::exception_ptr first_error;
@@ -41,6 +45,7 @@ InterOpStats run_graph(const model::OpGraph& graph, ThreadPool& pool,
           const model::OpId id = ready.back();
           ready.pop_back();
           ++in_flight;
+          ++callbacks;
           peak = std::max(peak, in_flight);
           lock.unlock();
           pool.submit([&, id] {
@@ -62,6 +67,7 @@ InterOpStats run_graph(const model::OpGraph& graph, ThreadPool& pool,
               }
             }
             pump(inner);
+            --callbacks;
             done_cv.notify_all();
             // `inner` unlocks on destruction; pump() re-acquires internally
             // only via this same path, so no deadlock.
@@ -73,9 +79,9 @@ InterOpStats run_graph(const model::OpGraph& graph, ThreadPool& pool,
   {
     std::unique_lock<std::mutex> lock(mutex);
     pump(lock);
+    // callbacks == 0 implies in_flight == 0.
     done_cv.wait(lock, [&] {
-      return (completed == n && in_flight == 0) ||
-             (first_error && in_flight == 0);
+      return callbacks == 0 && (completed == n || first_error);
     });
     if (first_error) std::rethrow_exception(first_error);
     LMO_CHECK_EQ(completed, n);

@@ -20,7 +20,7 @@ struct Beam {
 SequenceCache clone_cache(const SequenceCache& cache) {
   SequenceCache copy;
   copy.reserve(cache.size());
-  for (const auto& layer : cache) copy.push_back(layer->clone());
+  for (const KVCache& layer : cache) copy.push_back(layer.clone());
   return copy;
 }
 

@@ -1,5 +1,5 @@
 // Beam-search decoding over the real runtime. Each beam keeps its own
-// forked KV caches (KVCacheBase::clone()); every step extends each beam
+// forked KV caches (KVCache::clone()); every step extends each beam
 // with its top candidate tokens and keeps the `beam_width` highest
 // cumulative-log-probability hypotheses. Width 1 is exactly greedy.
 #pragma once

@@ -6,9 +6,6 @@
 
 #include "lmo/ckpt/format.hpp"
 #include "lmo/ckpt/tensor_codec.hpp"
-#include "lmo/kvshare/shared_kv_cache.hpp"
-#include "lmo/runtime/kv_factory.hpp"
-#include "lmo/runtime/window_kv.hpp"
 #include "lmo/telemetry/trace.hpp"
 #include "lmo/util/check.hpp"
 #include "lmo/util/fault.hpp"
@@ -23,221 +20,27 @@ void encode_i64_vec(ckpt::ByteWriter& writer,
   for (std::int64_t v : values) writer.i64(v);
 }
 
-std::vector<std::int64_t> decode_i64_vec(ckpt::ByteReader& reader) {
+/// Read a u64 element count and reject it before anything is allocated when
+/// the remaining payload cannot hold `min_bytes` per element — a hostile
+/// count must surface as CheckpointCorrupt, not length_error / bad_alloc.
+std::uint64_t read_count(ckpt::ByteReader& reader, std::size_t min_bytes,
+                         const char* what) {
   const std::uint64_t count = reader.u64();
+  if (count > reader.remaining() / min_bytes) {
+    throw util::CheckpointCorrupt(
+        std::string("checkpoint ") + what + " count " + std::to_string(count) +
+        " exceeds the " + std::to_string(reader.remaining()) +
+        " payload bytes left");
+  }
+  return count;
+}
+
+std::vector<std::int64_t> decode_i64_vec(ckpt::ByteReader& reader) {
+  const std::uint64_t count = read_count(reader, sizeof(std::int64_t), "token");
   std::vector<std::int64_t> values;
   values.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) values.push_back(reader.i64());
   return values;
-}
-
-// KV flavor tags in the cache codec. Distinct from KVFlavor so the wire
-// format stays frozen even if the enum is reordered.
-constexpr std::uint8_t kDenseTag = 1;
-constexpr std::uint8_t kPagedTag = 2;
-constexpr std::uint8_t kWindowTag = 3;
-constexpr std::uint8_t kSharedTag = 4;
-
-void encode_dense(ckpt::ByteWriter& writer, const KVCache& cache) {
-  writer.u8(kDenseTag);
-  writer.i64(cache.hidden());
-  writer.u8(static_cast<std::uint8_t>(cache.bits()));
-  writer.i64(cache.group_size());
-  writer.u64(static_cast<std::uint64_t>(cache.length()));
-  const auto encode_rows = [&](const std::vector<KVCache::Row>& rows) {
-    for (const KVCache::Row& row : rows) {
-      if (cache.bits() == 16) {
-        ckpt::encode_tensor(writer, row.plain);
-      } else {
-        ckpt::encode_quantized(writer, row.quantized);
-      }
-    }
-  };
-  encode_rows(cache.k_rows());
-  encode_rows(cache.v_rows());
-}
-
-std::unique_ptr<KVCacheBase> decode_dense(ckpt::ByteReader& reader,
-                                          const KVRestoreContext& context) {
-  LMO_CHECK_MSG(context.pool != nullptr,
-                "dense KV restore needs a memory pool");
-  const std::int64_t hidden = reader.i64();
-  const int bits = reader.u8();
-  const std::int64_t group = reader.i64();
-  const std::uint64_t length = reader.u64();
-  if (bits != 16 && bits != 8 && bits != 4) {
-    throw util::CheckpointCorrupt("dense KV checkpoint has invalid bits " +
-                                  std::to_string(bits));
-  }
-  KvCacheSpec spec;
-  spec.hidden = hidden;
-  spec.num_layers = 1;
-  spec.kv_bits = bits;
-  spec.quant_group = group;
-  spec.pool = context.pool;
-  auto base = MakeLayerKvCache(KVFlavor::kDense, spec);
-  auto* cache = static_cast<KVCache*>(base.get());
-  if (context.integrity != nullptr) {
-    cache->set_integrity(context.integrity, context.kv_region);
-  }
-  const auto decode_rows = [&] {
-    std::vector<KVCache::Row> rows;
-    rows.reserve(static_cast<std::size_t>(length));
-    for (std::uint64_t i = 0; i < length; ++i) {
-      KVCache::Row row;
-      if (bits == 16) {
-        row.plain = ckpt::decode_tensor(reader);
-      } else {
-        row.quantized = ckpt::decode_quantized(reader);
-      }
-      rows.push_back(std::move(row));
-    }
-    return rows;
-  };
-  std::vector<KVCache::Row> k = decode_rows();
-  std::vector<KVCache::Row> v = decode_rows();
-  try {
-    cache->restore_rows(std::move(k), std::move(v));
-  } catch (const util::CheckError& e) {
-    throw util::CheckpointCorrupt(
-        std::string("dense KV checkpoint is inconsistent: ") + e.what());
-  }
-  return base;
-}
-
-void encode_paged(ckpt::ByteWriter& writer, const PagedKVCache& cache) {
-  writer.u8(kPagedTag);
-  writer.i64(cache.length());
-  if (cache.length() > 0) {
-    // Gathered [length, hidden] matrices; the page structure is a pure
-    // function of length so re-appending on restore rebuilds the same
-    // block table.
-    writer.f32_array(cache.keys().f32());
-    writer.f32_array(cache.values().f32());
-  }
-}
-
-std::unique_ptr<KVCacheBase> decode_paged(ckpt::ByteReader& reader,
-                                          const KVRestoreContext& context) {
-  LMO_CHECK_MSG(context.page_pool != nullptr,
-                "paged KV restore needs a page pool");
-  const std::int64_t length = reader.i64();
-  KvCacheSpec spec;
-  spec.num_layers = 1;
-  spec.page_pool = context.page_pool;
-  auto owned = MakeLayerKvCache(KVFlavor::kPaged, spec);
-  auto* cache = static_cast<PagedKVCache*>(owned.get());
-  if (length < 0) {
-    throw util::CheckpointCorrupt("paged KV checkpoint has negative length");
-  }
-  if (length == 0) return owned;
-  const std::int64_t hidden = context.page_pool->hidden();
-  const std::vector<float> k = reader.f32_array();
-  const std::vector<float> v = reader.f32_array();
-  const std::size_t expected =
-      static_cast<std::size_t>(length) * static_cast<std::size_t>(hidden);
-  if (k.size() != expected || v.size() != expected) {
-    throw util::CheckpointCorrupt(
-        "paged KV checkpoint payload does not match length " +
-        std::to_string(length) + " x hidden " + std::to_string(hidden));
-  }
-  for (std::int64_t t = 0; t < length; ++t) {
-    const auto row = [&](const std::vector<float>& src) {
-      const auto* base = src.data() + t * hidden;
-      return tensor::Tensor::from_values(
-          {hidden}, std::vector<float>(base, base + hidden));
-    };
-    cache->append(row(k), row(v));
-  }
-  return owned;
-}
-
-void encode_window(ckpt::ByteWriter& writer, const WindowKVCache& cache) {
-  writer.u8(kWindowTag);
-  const std::int64_t hidden =
-      static_cast<std::int64_t>(cache.k_ring().size()) / cache.window();
-  writer.i64(hidden);
-  writer.i64(cache.window());
-  writer.i64(cache.appended());
-  writer.i64(cache.length());
-  writer.f32_array(cache.k_ring());
-  writer.f32_array(cache.v_ring());
-}
-
-std::unique_ptr<KVCacheBase> decode_window(ckpt::ByteReader& reader,
-                                           const KVRestoreContext& context) {
-  LMO_CHECK_MSG(context.pool != nullptr,
-                "window KV restore needs a memory pool");
-  const std::int64_t hidden = reader.i64();
-  const std::int64_t window = reader.i64();
-  const std::int64_t appended = reader.i64();
-  const std::int64_t visible = reader.i64();
-  std::vector<float> k_ring = reader.f32_array();
-  std::vector<float> v_ring = reader.f32_array();
-  if (hidden <= 0 || window <= 0) {
-    throw util::CheckpointCorrupt("window KV checkpoint has invalid geometry");
-  }
-  KvCacheSpec spec;
-  spec.hidden = hidden;
-  spec.num_layers = 1;
-  spec.window_tokens = window;
-  spec.pool = context.pool;
-  auto base = MakeLayerKvCache(KVFlavor::kWindow, spec);
-  auto* cache = static_cast<WindowKVCache*>(base.get());
-  try {
-    cache->restore(appended, visible, std::move(k_ring), std::move(v_ring));
-  } catch (const util::CheckError& e) {
-    throw util::CheckpointCorrupt(
-        std::string("window KV checkpoint is inconsistent: ") + e.what());
-  }
-  return base;
-}
-
-void encode_shared(ckpt::ByteWriter& writer,
-                   const kvshare::SharedKVCache& cache) {
-  // Materialize the full chain: shared blocks belong to the prefix cache
-  // of the process being snapshot, so the checkpoint carries the gathered
-  // rows verbatim (bit-exact f32) and restores a detached, private-only
-  // cache — lossless, and independent of what the resuming process has in
-  // its own radix tree.
-  writer.u8(kSharedTag);
-  writer.i64(cache.hidden());
-  writer.i64(cache.length());
-  if (cache.length() > 0) {
-    writer.f32_array(cache.keys().f32());
-    writer.f32_array(cache.values().f32());
-  }
-}
-
-std::unique_ptr<KVCacheBase> decode_shared(ckpt::ByteReader& reader,
-                                           const KVRestoreContext& context) {
-  LMO_CHECK_MSG(context.pool != nullptr,
-                "shared KV restore needs a memory pool");
-  const std::int64_t hidden = reader.i64();
-  const std::int64_t length = reader.i64();
-  if (hidden <= 0 || length < 0) {
-    throw util::CheckpointCorrupt("shared KV checkpoint has invalid geometry");
-  }
-  auto cache = std::make_unique<kvshare::SharedKVCache>(hidden, *context.pool);
-  if (length == 0) return cache;
-  const std::vector<float> k = reader.f32_array();
-  const std::vector<float> v = reader.f32_array();
-  const std::size_t expected =
-      static_cast<std::size_t>(length) * static_cast<std::size_t>(hidden);
-  if (k.size() != expected || v.size() != expected) {
-    throw util::CheckpointCorrupt(
-        "shared KV checkpoint payload does not match length " +
-        std::to_string(length) + " x hidden " + std::to_string(hidden));
-  }
-  for (std::int64_t t = 0; t < length; ++t) {
-    const auto row = [&](const std::vector<float>& src) {
-      const auto* base = src.data() + t * hidden;
-      return tensor::Tensor::from_values(
-          {hidden}, std::vector<float>(base, base + hidden));
-    };
-    cache->append(row(k), row(v));
-  }
-  return cache;
 }
 
 void encode_fault_states(ckpt::ByteWriter& writer) {
@@ -255,7 +58,9 @@ void encode_fault_states(ckpt::ByteWriter& writer) {
 
 std::vector<util::FaultSiteState> decode_fault_states(
     ckpt::ByteReader& reader) {
-  const std::uint64_t count = reader.u64();
+  // Each state holds at least a string length prefix and four 8-byte
+  // counters.
+  const std::uint64_t count = read_count(reader, 5 * 8, "fault-site state");
   std::vector<util::FaultSiteState> states;
   states.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -310,8 +115,6 @@ void encode_runtime_config(ckpt::ByteWriter& writer,
   writer.i64(config.disk_layers);
   writer.u64(config.disk_capacity);
   writer.u64(config.spill_block_bytes);
-  writer.u8(static_cast<std::uint8_t>(config.kv_flavor));
-  writer.i64(config.page_tokens);
   writer.i64(config.window_tokens);
   writer.u8(config.prefix_share ? 1 : 0);
   writer.i64(config.kv_block_tokens);
@@ -354,14 +157,6 @@ RuntimeConfig decode_runtime_config(ckpt::ByteReader& reader) {
   config.disk_layers = reader.i64();
   config.disk_capacity = static_cast<std::size_t>(reader.u64());
   config.spill_block_bytes = static_cast<std::size_t>(reader.u64());
-  const std::uint8_t flavor = reader.u8();
-  if (flavor > static_cast<std::uint8_t>(KVFlavor::kWindow)) {
-    throw util::CheckpointCorrupt("checkpoint has unknown KV flavor tag " +
-                                  std::to_string(flavor));
-  }
-  config.kv_flavor = static_cast<KVFlavor>(flavor);
-  config.paged_kv = config.kv_flavor == KVFlavor::kPaged;
-  config.page_tokens = reader.i64();
   config.window_tokens = reader.i64();
   config.prefix_share = reader.u8() != 0;
   config.kv_block_tokens = reader.i64();
@@ -396,8 +191,6 @@ bool runtime_config_equal(const RuntimeConfig& a, const RuntimeConfig& b) {
          a.disk_layers == b.disk_layers &&
          a.disk_capacity == b.disk_capacity &&
          a.spill_block_bytes == b.spill_block_bytes &&
-         a.kv_flavor == b.kv_flavor &&
-         a.page_tokens == b.page_tokens &&
          a.window_tokens == b.window_tokens &&
          a.prefix_share == b.prefix_share &&
          a.kv_block_tokens == b.kv_block_tokens &&
@@ -416,37 +209,66 @@ bool runtime_config_equal(const RuntimeConfig& a, const RuntimeConfig& b) {
          a.sampling.seed == b.sampling.seed;
 }
 
-void encode_kv_cache(ckpt::ByteWriter& writer, const KVCacheBase& cache) {
-  if (const auto* dense = dynamic_cast<const KVCache*>(&cache)) {
-    encode_dense(writer, *dense);
-  } else if (const auto* paged = dynamic_cast<const PagedKVCache*>(&cache)) {
-    encode_paged(writer, *paged);
-  } else if (const auto* window =
-                 dynamic_cast<const WindowKVCache*>(&cache)) {
-    encode_window(writer, *window);
-  } else if (const auto* shared =
-                 dynamic_cast<const kvshare::SharedKVCache*>(&cache)) {
-    encode_shared(writer, *shared);
-  } else {
-    LMO_UNREACHABLE("unknown KV cache flavor in checkpoint encoder");
+void encode_kv_cache(ckpt::ByteWriter& writer, const KVCache& cache) {
+  writer.i64(cache.hidden());
+  writer.u8(static_cast<std::uint8_t>(cache.bits()));
+  writer.i64(cache.group_size());
+  writer.i64(cache.first_row());
+  writer.u64(static_cast<std::uint64_t>(cache.length()));
+  for (const bool key : {true, false}) {
+    for (std::int64_t i = 0; i < cache.length(); ++i) {
+      const KVCache::RowView row = cache.row(key, i);
+      if (row.quantized != nullptr) {
+        ckpt::encode_quantized(writer, *row.quantized);
+      } else {
+        writer.f32_array(row.plain);
+      }
+    }
   }
 }
 
-std::unique_ptr<KVCacheBase> decode_kv_cache(ckpt::ByteReader& reader,
-                                             const KVRestoreContext& context) {
-  const std::uint8_t tag = reader.u8();
-  switch (tag) {
-    case kDenseTag:
-      return decode_dense(reader, context);
-    case kPagedTag:
-      return decode_paged(reader, context);
-    case kWindowTag:
-      return decode_window(reader, context);
-    case kSharedTag:
-      return decode_shared(reader, context);
-    default:
-      throw util::CheckpointCorrupt("unknown KV cache flavor tag " +
-                                    std::to_string(tag));
+void decode_kv_cache(ckpt::ByteReader& reader, KVCache& cache) {
+  const std::int64_t hidden = reader.i64();
+  const int bits = reader.u8();
+  const std::int64_t group = reader.i64();
+  const std::int64_t first = reader.i64();
+  if (hidden != cache.hidden() || bits != cache.bits() ||
+      group != cache.group_size()) {
+    throw util::CheckpointCorrupt(
+        "KV checkpoint geometry (hidden " + std::to_string(hidden) +
+        ", bits " + std::to_string(bits) + ", group " + std::to_string(group) +
+        ") does not match the cache (hidden " +
+        std::to_string(cache.hidden()) + ", bits " +
+        std::to_string(cache.bits()) + ", group " +
+        std::to_string(cache.group_size()) + ")");
+  }
+  // Positions count appended tokens, so any real sequence sits far below
+  // this bound; it keeps position arithmetic clear of overflow.
+  constexpr std::int64_t kMaxFirstRow = std::int64_t{1} << 48;
+  if (first < 0 || first > kMaxFirstRow) {
+    throw util::CheckpointCorrupt("KV checkpoint first row " +
+                                  std::to_string(first) + " is out of range");
+  }
+  // Every row holds at least an 8-byte length prefix, K and V each.
+  const std::uint64_t length = read_count(reader, 2 * 8, "KV row");
+  const auto decode_rows = [&] {
+    std::vector<KVCache::Row> rows(static_cast<std::size_t>(length));
+    for (KVCache::Row& row : rows) {
+      if (bits == 16) {
+        row.plain = reader.f32_array();
+      } else {
+        row.quantized = ckpt::decode_quantized(reader);
+      }
+    }
+    return rows;
+  };
+  std::vector<KVCache::Row> k = decode_rows();
+  std::vector<KVCache::Row> v = decode_rows();
+  try {
+    cache.restore(first, std::move(k), std::move(v));
+  } catch (const util::CheckError& e) {
+    throw util::CheckpointCorrupt(
+        std::string("KV checkpoint is inconsistent: ") + e.what());
   }
 }
 
@@ -489,8 +311,8 @@ std::size_t Generator::snapshot(const std::string& path) {
   for (std::uint64_t word : rng_state) writer.u64(word);
   encode_fault_states(writer);
   for (const SequenceCache& cache : session.caches) {
-    for (const auto& layer_cache : cache) {
-      encode_kv_cache(writer, *layer_cache);
+    for (const KVCache& layer_cache : cache) {
+      encode_kv_cache(writer, layer_cache);
     }
   }
 
@@ -555,16 +377,24 @@ void Generator::resume(const std::string& path) {
   const std::vector<util::FaultSiteState> fault_states =
       decode_fault_states(reader);
 
-  KVRestoreContext context;
-  context.pool = host_pool_.get();
-  context.page_pool = page_pool_.get();
-  context.integrity =
-      config_.integrity.enabled() ? integrity_.get() : nullptr;
   for (std::uint64_t s = 0; s < num_sequences; ++s) {
-    SequenceCache cache;
-    for (std::int64_t layer = 0; layer < config_.spec.num_layers; ++layer) {
-      context.kv_region = "kv.layer" + std::to_string(layer);
-      cache.push_back(decode_kv_cache(reader, context));
+    // Restored caches are built exactly like a fresh session's (integrity
+    // attached, so rows are re-fingerprinted), minus the prefix match:
+    // borrowed rows come back as private rows.
+    std::int64_t matched = 0;
+    SequenceCache cache = make_sequence_cache({}, matched);
+    // Every prompt token and every produced token but the pending `next`
+    // has been appended.
+    const std::int64_t appended =
+        static_cast<std::int64_t>(session->prompts[s].size()) +
+        session->produced - 1;
+    for (KVCache& layer_cache : cache) {
+      decode_kv_cache(reader, layer_cache);
+      if (layer_cache.first_row() + layer_cache.length() != appended) {
+        throw util::CheckpointCorrupt(
+            path + ": sequence " + std::to_string(s) +
+            " KV rows do not match its token history");
+      }
     }
     session->caches.push_back(std::move(cache));
   }

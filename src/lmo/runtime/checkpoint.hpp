@@ -10,7 +10,9 @@
 //   - the sampling RNG state (xoshiro256** words),
 //   - the fault injector's per-site schedule positions, so an active chaos
 //     schedule continues where it left off instead of restarting,
-//   - every (sequence, layer) KV cache, bit-exactly for all three flavors.
+//   - every (sequence, layer) KV cache's visible rows, bit-exactly
+//     (quantized rows keep their codes; borrowed prefix rows are written as
+//     f32 and restored as private rows).
 //
 // The per-cache and config codecs are exposed here so tests can exercise
 // round-trips and corruption handling without driving a whole Generator.
@@ -22,8 +24,6 @@
 #include "lmo/ckpt/binary_io.hpp"
 #include "lmo/runtime/generator.hpp"
 #include "lmo/runtime/kv_cache.hpp"
-#include "lmo/runtime/mempool.hpp"
-#include "lmo/runtime/paged_kv.hpp"
 
 namespace lmo::runtime {
 
@@ -39,26 +39,15 @@ RuntimeConfig decode_runtime_config(ckpt::ByteReader& reader);
 /// that encode_runtime_config captures).
 bool runtime_config_equal(const RuntimeConfig& a, const RuntimeConfig& b);
 
-/// Pools a KV-cache decode allocates from: `pool` backs dense and window
-/// caches, `page_pool` backs paged caches. Only the member matching the
-/// encoded flavor is touched. When `integrity` is set, restored dense
-/// caches are attached to it (label `kv_region`) and re-fingerprint their
-/// rows, so verification continues seamlessly across a resume.
-struct KVRestoreContext {
-  MemoryPool* pool = nullptr;
-  PagePool* page_pool = nullptr;
-  integrity::ChecksumRegistry* integrity = nullptr;
-  std::string kv_region;
-};
-
-/// Serialize one KV cache, dispatching on its dynamic flavor. Dense caches
-/// store their rows verbatim (quantized payloads bit-exact); window caches
-/// store the raw rings plus cursors; paged caches store the gathered K/V
-/// matrices (page structure is a function of length, so re-appending
-/// reproduces it exactly).
-void encode_kv_cache(ckpt::ByteWriter& writer, const KVCacheBase& cache);
-std::unique_ptr<KVCacheBase> decode_kv_cache(ckpt::ByteReader& reader,
-                                             const KVRestoreContext& context);
+/// Serialize one KV cache over its visible rows: hidden, bits, group, the
+/// absolute position of the first row, the row count, then every K row and
+/// every V row verbatim (f32 values, or quantized payloads bit-exact).
+void encode_kv_cache(ckpt::ByteWriter& writer, const KVCache& cache);
+/// Restore a cache written by encode_kv_cache into `cache`, which must be
+/// empty and built with the same geometry — on resume the config
+/// fingerprint guarantees that, so any disagreement (including hostile
+/// sizes or counts) is CheckpointCorrupt.
+void decode_kv_cache(ckpt::ByteReader& reader, KVCache& cache);
 
 /// Cheap header+fingerprint probe of a checkpoint file: validates the
 /// envelope (CRC included) and decodes config + progress, without

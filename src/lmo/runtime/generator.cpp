@@ -9,14 +9,13 @@
 #include <vector>
 
 #include "lmo/kvshare/prefix_cache.hpp"
-#include "lmo/kvshare/shared_kv_cache.hpp"
 #include "lmo/model/memory.hpp"
 #include "lmo/parallel/bundling.hpp"
 #include "lmo/perfmodel/policy.hpp"
-#include "lmo/runtime/window_kv.hpp"
 #include "lmo/telemetry/trace.hpp"
 #include "lmo/tensor/ops.hpp"
 #include "lmo/util/check.hpp"
+#include "lmo/util/checksum.hpp"
 #include "lmo/util/status.hpp"
 #include "lmo/util/validate.hpp"
 
@@ -117,8 +116,6 @@ void RuntimeConfig::validate() const {
   recovery.validate();
   adaptive.validate();
   integrity.validate();
-  // Note: callers passing the legacy paged_kv bool are validated after the
-  // Generator constructor canonicalizes it into kv_flavor.
   util::Validate("RuntimeConfig", [this](util::Validator& v) {
     v.ge("device_layers", device_layers, 0)
         .le("device_layers", device_layers, spec.num_layers);
@@ -139,22 +136,17 @@ void RuntimeConfig::validate() const {
     v.gt("quant_group", quant_group, 0);
     v.gt("device_capacity", device_capacity, 0);
     v.gt("host_capacity", host_capacity, 0);
-    v.gt("page_tokens", page_tokens, 0);
-    v.gt("window_tokens", window_tokens, 0);
+    v.ge("window_tokens", window_tokens, 0);
     v.gt("kv_block_tokens", kv_block_tokens, 0);
     v.ge("prefetch_threads", prefetch_threads, 0);
     v.ge("compute_threads", compute_threads, 0);
-    if (kv_flavor == KVFlavor::kPaged) {
+    if (window_tokens > 0) {
       v.require("kv_bits", kv_bits == 16,
-                "paged KV pages store f32 rows; kv_bits must be 16");
-    }
-    if (kv_flavor == KVFlavor::kWindow) {
-      v.require("kv_bits", kv_bits == 16,
-                "window KV rings store f32 rows; kv_bits must be 16");
+                "windowed KV caches store f32 rows; kv_bits must be 16");
     }
     if (prefix_share) {
-      v.require("kv_flavor", kv_flavor == KVFlavor::kDense,
-                "prefix sharing layers over the dense KV backend");
+      v.require("window_tokens", window_tokens == 0,
+                "shared prefix rows never slide out of a window");
       v.require("kv_bits", kv_bits == 16,
                 "shared KV blocks store f32 rows; kv_bits must be 16");
     }
@@ -177,10 +169,6 @@ Generator::Generator(const RuntimeConfig& config)
 Generator::Generator(const RuntimeConfig& config,
                      SpillStoreFactory spill_factory)
     : config_(config), sampling_rng_(config.sampling.seed) {
-  // Canonicalize the legacy paged_kv bool and the flavor enum so the rest
-  // of the runtime (and the checkpoint fingerprint) sees one field.
-  if (config_.paged_kv) config_.kv_flavor = KVFlavor::kPaged;
-  config_.paged_kv = config_.kv_flavor == KVFlavor::kPaged;
   config_.validate();
   device_pool_ =
       std::make_unique<MemoryPool>("device", config.device_capacity);
@@ -235,10 +223,6 @@ Generator::Generator(const RuntimeConfig& config,
         std::make_unique<parallel::ThreadPool>(config.compute_threads);
     transformer_->set_compute_pool(compute_pool_.get());
   }
-  if (config_.kv_flavor == KVFlavor::kPaged) {
-    page_pool_ = std::make_unique<PagePool>(config_.spec.hidden,
-                                            config_.page_tokens, *host_pool_);
-  }
   if (config_.prefix_share) {
     kvshare::PrefixCacheConfig pc;
     pc.block_tokens = config_.kv_block_tokens;
@@ -266,51 +250,32 @@ Generator::~Generator() {
   }
 }
 
-SequenceCache Generator::make_sequence_cache() {
-  KvCacheSpec kv;
-  kv.hidden = config_.spec.hidden;
-  kv.num_layers = config_.spec.num_layers;
-  kv.kv_bits = config_.kv_bits;
-  kv.quant_group = config_.quant_group;
-  kv.window_tokens = config_.window_tokens;
-  kv.pool = host_pool_.get();
-  kv.page_pool = page_pool_.get();
-  SequenceCache cache = MakeKvCache(config_.kv_flavor, kv);
-  if (config_.integrity.enabled()) {
-    // Only the dense backend stores rows at rest (possibly quantized);
-    // paged/window caches hold live f32 rings the integrity layer does not
-    // model.
-    for (std::size_t layer = 0; layer < cache.size(); ++layer) {
-      if (auto* dense = dynamic_cast<KVCache*>(cache[layer].get())) {
-        dense->set_integrity(integrity_.get(),
-                             "kv.layer" + std::to_string(layer));
-      }
-    }
+SequenceCache Generator::make_sequence_cache(
+    std::span<const std::int64_t> prompt, std::int64_t& matched_out) {
+  std::shared_ptr<kvshare::PrefixLease> lease;
+  if (prefix_cache_ != nullptr && !prompt.empty()) {
+    telemetry::ScopedSpan match_span(telemetry::TraceRecorder::global(),
+                                     "prefix_match", "kvshare");
+    lease = prefix_cache_->match(prompt);
   }
-  return cache;
-}
-
-SequenceCache Generator::make_shared_sequence_cache(
-    const std::vector<std::int64_t>& prompt, std::int64_t& matched_out) {
-  auto lease = prefix_cache_->match(prompt);
   matched_out = lease == nullptr ? 0 : lease->matched_tokens();
   SequenceCache cache;
   cache.reserve(static_cast<std::size_t>(config_.spec.num_layers));
   for (std::int64_t layer = 0; layer < config_.spec.num_layers; ++layer) {
-    if (lease != nullptr) {
-      cache.push_back(std::make_unique<kvshare::SharedKVCache>(
-          config_.spec.hidden, layer, lease, matched_out, *host_pool_));
-    } else {
-      cache.push_back(std::make_unique<kvshare::SharedKVCache>(
-          config_.spec.hidden, *host_pool_));
+    KVCache& kv = cache.emplace_back(config_.spec.hidden, config_.kv_bits,
+                                     config_.quant_group, *host_pool_,
+                                     config_.kv_block_tokens,
+                                     config_.window_tokens);
+    if (config_.integrity.enabled()) {
+      kv.set_integrity(integrity_.get(), "kv.layer" + std::to_string(layer));
     }
+    if (lease != nullptr) kv.borrow(lease, layer, matched_out);
   }
   return cache;
 }
 
 void Generator::build_session_caches(Session& session,
                                      std::vector<std::int64_t>& matched) {
-  auto& trace = telemetry::TraceRecorder::global();
   session.cache_ptrs.clear();
   session.leases.clear();
   session.caches.clear();
@@ -318,13 +283,8 @@ void Generator::build_session_caches(Session& session,
   session.caches.reserve(session.prompts.size());
   for (std::size_t s = 0; s < session.prompts.size(); ++s) {
     LMO_CHECK(!session.prompts[s].empty());
-    if (prefix_cache_ != nullptr) {
-      telemetry::ScopedSpan match_span(trace, "prefix_match", "kvshare");
-      session.caches.push_back(
-          make_shared_sequence_cache(session.prompts[s], matched[s]));
-    } else {
-      session.caches.push_back(make_sequence_cache());
-    }
+    session.caches.push_back(
+        make_sequence_cache(session.prompts[s], matched[s]));
   }
   for (auto& c : session.caches) session.cache_ptrs.push_back(&c);
 }
@@ -343,6 +303,14 @@ void Generator::repair_session_caches() {
   std::vector<std::int64_t> matched;
   build_session_caches(session, matched);
 
+  // All produced tokens except the pending `next` are already embedded in
+  // a healthy cache. Without a window, re-prefilling them together with the
+  // prompt is bit-identical to the incremental decode that built them (same
+  // kernels, same quantizer). A windowed forward lets token i see only the
+  // rows left once the whole chunk is appended, so there the replay repeats
+  // the original schedule: the prompt in one forward, then one forward per
+  // produced token.
+  const bool stepwise = config_.window_tokens > 0;
   std::vector<tensor::Tensor> states;
   states.reserve(session.prompts.size());
   for (std::size_t s = 0; s < session.prompts.size(); ++s) {
@@ -350,16 +318,22 @@ void Generator::repair_session_caches() {
         session.prompts[s].begin() +
             static_cast<std::ptrdiff_t>(matched[s]),
         session.prompts[s].end());
-    // All produced tokens except the pending `next` are already embedded
-    // in a healthy cache; re-prefilling them is bit-identical to the
-    // incremental decode that built them (same kernels, same quantizer).
     const std::vector<std::int64_t>& produced = session.tokens[s];
-    if (!produced.empty()) {
+    if (!stepwise && !produced.empty()) {
       replay.insert(replay.end(), produced.begin(), produced.end() - 1);
     }
     states.push_back(transformer_->embed(replay));
   }
   transformer_->forward(states, session.cache_ptrs, prefetch_pool_.get());
+  // Sequences decode in lockstep, so they all hold the same token count.
+  const std::size_t produced = stepwise ? session.tokens.front().size() : 0;
+  for (std::size_t t = 0; t + 1 < produced; ++t) {
+    for (std::size_t s = 0; s < session.prompts.size(); ++s) {
+      const std::int64_t token[] = {session.tokens[s][t]};
+      states[s] = transformer_->embed(token);
+    }
+    transformer_->forward(states, session.cache_ptrs, prefetch_pool_.get());
+  }
   // The replay's logits are discarded: their tokens were already sampled,
   // and drawing again would advance the sampling RNG off the clean path.
 }
@@ -372,14 +346,12 @@ std::shared_ptr<kvshare::PrefixLease> Generator::publish_prefix(
       prompt, [&](std::int64_t token_offset, float* payload) {
         for (std::int64_t layer = 0; layer < config_.spec.num_layers;
              ++layer) {
-          const auto* shared = dynamic_cast<const kvshare::SharedKVCache*>(
-              cache[static_cast<std::size_t>(layer)].get());
-          LMO_CHECK(shared != nullptr);
+          const KVCache& kv = cache[static_cast<std::size_t>(layer)];
           for (std::int64_t slot = 0; slot < bt; ++slot) {
             float* k_dst = payload + ((layer * 2 + 0) * bt + slot) * hidden;
             float* v_dst = payload + ((layer * 2 + 1) * bt + slot) * hidden;
-            shared->copy_row(true, token_offset + slot, k_dst);
-            shared->copy_row(false, token_offset + slot, v_dst);
+            kv.copy_row(true, token_offset + slot, k_dst);
+            kv.copy_row(false, token_offset + slot, v_dst);
           }
         }
       });
@@ -647,6 +619,23 @@ void Generator::step() {
   }
 }
 
+std::uint32_t Generator::kv_digest() const {
+  LMO_CHECK_MSG(session_ != nullptr, "no active generation session");
+  const std::int64_t hidden = config_.spec.hidden;
+  std::vector<float> rows;
+  for (const SequenceCache& cache : session_->caches) {
+    for (const KVCache& kv : cache) {
+      for (const bool key : {true, false}) {
+        for (std::int64_t i = 0; i < kv.length(); ++i) {
+          rows.resize(rows.size() + static_cast<std::size_t>(hidden));
+          kv.copy_row(key, i, rows.data() + rows.size() - hidden);
+        }
+      }
+    }
+  }
+  return util::crc32(std::span<const float>(rows));
+}
+
 GenerationResult Generator::finish() {
   LMO_CHECK_MSG(session_ != nullptr, "no active generation session");
   LMO_CHECK_MSG(done(), "finish() requires a completed session");
@@ -661,29 +650,13 @@ GenerationResult Generator::finish() {
                              static_cast<double>(session.prompts.size()) /
                              total;
   result.offload = manager_->stats();
-  for (const auto& cache : session.caches) {
-    for (const auto& layer_cache : cache) {
-      if (const auto* flat = dynamic_cast<const KVCache*>(layer_cache.get())) {
-        result.kv_quantize_seconds += flat->quantize_seconds();
-        result.kv_dequantize_seconds += flat->dequantize_seconds();
-        result.kv_stored_bytes += flat->stored_bytes();
-      } else if (const auto* paged =
-                     dynamic_cast<const PagedKVCache*>(layer_cache.get())) {
-        result.kv_stored_bytes +=
-            paged->block_table().size() * page_pool_->page_bytes();
-      } else if (const auto* shared =
-                     dynamic_cast<const kvshare::SharedKVCache*>(
-                         layer_cache.get())) {
-        // Shared-chain bytes are owned by the prefix cache, not this
-        // session; only the private tail counts against the sequence.
-        result.kv_stored_bytes += shared->stored_bytes();
-      } else if (const auto* window = dynamic_cast<const WindowKVCache*>(
-                     layer_cache.get())) {
-        result.kv_stored_bytes += 2 *
-                                  static_cast<std::size_t>(window->window() *
-                                                           config_.spec.hidden) *
-                                  sizeof(float);
-      }
+  // Borrowed prefix rows are owned by the prefix cache, not this session;
+  // only private rows count against the sequence.
+  for (const SequenceCache& cache : session.caches) {
+    for (const KVCache& layer_cache : cache) {
+      result.kv_quantize_seconds += layer_cache.quantize_seconds();
+      result.kv_dequantize_seconds += layer_cache.dequantize_seconds();
+      result.kv_stored_bytes += layer_cache.stored_bytes();
     }
   }
   result.device_peak_bytes = device_pool_->peak();

@@ -8,14 +8,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "lmo/integrity/integrity.hpp"
 #include "lmo/model/llm_config.hpp"
 #include "lmo/parallel/adaptive_controller.hpp"
-#include "lmo/runtime/kv_factory.hpp"
-#include "lmo/runtime/paged_kv.hpp"
+#include "lmo/runtime/kv_cache.hpp"
 #include "lmo/runtime/transformer.hpp"
 #include "lmo/store/block_store.hpp"
 
@@ -66,20 +66,18 @@ struct RuntimeConfig {
   /// construction); empty = in-memory backend (tests, drills).
   std::string spill_path;
   std::size_t spill_block_bytes = 256u << 10;  ///< store block size
-  /// KV backend. kPaged and kWindow store f32 rows and require
-  /// kv_bits == 16.
-  KVFlavor kv_flavor = KVFlavor::kDense;
-  /// Legacy spelling of kv_flavor == kPaged; when set it wins over
-  /// kv_flavor (the Generator constructor canonicalizes both fields).
-  bool paged_kv = false;
-  std::int64_t page_tokens = 16;    ///< token slots per page (kPaged)
-  std::int64_t window_tokens = 32;  ///< ring capacity in tokens (kWindow)
+  /// Sliding-window attention: keep only the most recent `window_tokens`
+  /// KV rows per layer; 0 keeps every row. Windowed caches store f32 rows
+  /// and require kv_bits == 16.
+  std::int64_t window_tokens = 0;
   /// Cross-request KV prefix sharing (kvshare subsystem): sessions match
   /// their prompts against a radix tree of cached KV blocks and prefill
-  /// only the unmatched suffix. Requires kv_flavor == kDense and
+  /// only the unmatched suffix. Requires window_tokens == 0 and
   /// kv_bits == 16 (cached rows are f32, so reuse is bit-exact).
   bool prefix_share = false;
-  std::int64_t kv_block_tokens = 16;  ///< tokens per shared KV block
+  /// Rows per KV block: the block-table granularity of every cache and the
+  /// size of a shared prefix block.
+  std::int64_t kv_block_tokens = 16;
   int prefetch_threads = 2;  ///< 0 disables async weight prefetch
   /// Transfer-retry / watchdog / degradation knobs (see OffloadManager).
   RecoveryConfig recovery;
@@ -193,6 +191,10 @@ class Generator {
   /// Close the session and return the accumulated result + accounting.
   /// Requires done().
   GenerationResult finish();
+  /// CRC32 over every visible K and V row of the active session, in f32.
+  /// Equal digests mean bit-identical caches: drills use it to check that
+  /// a repaired or resumed session holds exactly the clean run's KV state.
+  std::uint32_t kv_digest() const;
 
   // -- checkpoint / restore (implemented in checkpoint.cpp) ---------------
 
@@ -237,11 +239,12 @@ class Generator {
   void fold_adaptive_window();
   void stop_adaptive();
 
-  SequenceCache make_sequence_cache();
-  /// Prefix-share path: match `prompt`, build SharedKVCache layers over the
-  /// lease, and report how many leading tokens prefill may skip.
-  SequenceCache make_shared_sequence_cache(
-      const std::vector<std::int64_t>& prompt, std::int64_t& matched_out);
+  /// One sequence's per-layer caches. With prefix sharing on, `prompt` is
+  /// matched against the prefix cache and the caches borrow the matched
+  /// chain; `matched_out` reports how many leading tokens prefill may
+  /// skip. An empty prompt (checkpoint restore) never matches.
+  SequenceCache make_sequence_cache(std::span<const std::int64_t> prompt,
+                                    std::int64_t& matched_out);
   /// (Re)create every sequence cache for `session` from scratch, matching
   /// prompts against the prefix cache when sharing is on. `matched` is
   /// resized to one skip count per prompt. Used by begin() and by the
@@ -275,7 +278,6 @@ class Generator {
   std::unique_ptr<Transformer> transformer_;
   std::unique_ptr<parallel::ThreadPool> prefetch_pool_;
   std::unique_ptr<parallel::ThreadPool> compute_pool_;
-  std::unique_ptr<PagePool> page_pool_;  ///< when kv_flavor == kPaged
   /// Outlives session_ (declared first): sessions hold leases into it.
   std::unique_ptr<kvshare::PrefixCache> prefix_cache_;
   std::unique_ptr<Session> session_;

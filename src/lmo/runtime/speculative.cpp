@@ -41,7 +41,7 @@ class Decoder {
   /// Roll the caches back to `new_context` tokens.
   void rollback(std::int64_t new_context) {
     LMO_CHECK_LE(new_context, context_);
-    for (auto& layer_cache : cache_) layer_cache->truncate(new_context);
+    for (KVCache& layer_cache : cache_) layer_cache.truncate(new_context);
     context_ = new_context;
   }
 

@@ -1,7 +1,7 @@
 // Speculative decoding (the related-work direction the paper cites via
 // SpecInfer): a small draft model proposes blocks of tokens, the target
 // model verifies a whole block in one forward pass, and rejected suffixes
-// are rolled back with KVCacheBase::truncate(). The greedy variant here is
+// are rolled back with KVCache::truncate(). The greedy variant here is
 // *lossless* — the emitted sequence is bit-identical to the target model
 // decoding alone — while the target runs one forward pass per accepted
 // block instead of per token.

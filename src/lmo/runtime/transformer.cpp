@@ -79,13 +79,12 @@ Transformer::Transformer(const model::ModelSpec& spec,
 
 SequenceCache Transformer::make_cache(int kv_bits, std::int64_t group_size,
                                       MemoryPool& pool) const {
-  KvCacheSpec kv;
-  kv.hidden = spec_.hidden;
-  kv.num_layers = spec_.num_layers;
-  kv.kv_bits = kv_bits;
-  kv.quant_group = group_size;
-  kv.pool = &pool;
-  return MakeKvCache(KVFlavor::kDense, kv);
+  SequenceCache cache;
+  cache.reserve(static_cast<std::size_t>(spec_.num_layers));
+  for (std::int64_t layer = 0; layer < spec_.num_layers; ++layer) {
+    cache.emplace_back(spec_.hidden, kv_bits, group_size, pool);
+  }
+  return cache;
 }
 
 Tensor Transformer::embed(std::span<const std::int64_t> tokens) {
@@ -122,7 +121,7 @@ Transformer::LayerWeights Transformer::fetch_layer(std::int64_t layer) {
 }
 
 Tensor Transformer::attention(const LayerWeights& w, const Tensor& x,
-                              KVCacheBase& cache) {
+                              KVCache& cache) {
   const std::int64_t t_new = x.shape()[0];
   const std::int64_t h = spec_.hidden;
   const std::int64_t heads = spec_.num_heads;
@@ -172,7 +171,7 @@ Tensor Transformer::attention(const LayerWeights& w, const Tensor& x,
         // Causal horizon in the *materialized* matrix: everything up to
         // and including token i's own row (the last t_new rows are the new
         // tokens). Equivalent to prior+i+1 for exact caches, and correct
-        // under eviction (WindowKVCache), where total < prior + t_new.
+        // under a sliding window, where total < prior + t_new.
         const std::int64_t visible = total - (t_new - 1 - i);
         if (visible <= 0) continue;  // fully evicted context (tiny window)
         const float* qrow = pq.data() + i * h + off;
@@ -220,7 +219,7 @@ Tensor Transformer::attention(const LayerWeights& w, const Tensor& x,
 }
 
 Tensor Transformer::layer_forward(const LayerWeights& w, const Tensor& x,
-                                  KVCacheBase& cache) {
+                                  KVCache& cache) {
   // Pre-LN attention block.
   const Tensor normed1 = tensor::layer_norm(x, w.ln1_gamma, w.ln1_beta);
   const Tensor attn = attention(w, normed1, cache);
@@ -262,7 +261,7 @@ void Transformer::forward(std::vector<Tensor>& states,
     const LayerWeights w = fetch_layer(layer);
     for (std::size_t s = 0; s < states.size(); ++s) {
       states[s] = layer_forward(
-          w, states[s], *(*caches[s])[static_cast<std::size_t>(layer)]);
+          w, states[s], (*caches[s])[static_cast<std::size_t>(layer)]);
     }
   }
 }

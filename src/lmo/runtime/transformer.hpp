@@ -19,7 +19,6 @@
 #include "lmo/model/llm_config.hpp"
 #include "lmo/parallel/threadpool.hpp"
 #include "lmo/runtime/kv_cache.hpp"
-#include "lmo/runtime/kv_factory.hpp"
 #include "lmo/runtime/offload_manager.hpp"
 #include "lmo/tensor/tensor.hpp"
 #include "lmo/util/rng.hpp"
@@ -39,8 +38,8 @@ class Transformer {
 
   const model::ModelSpec& spec() const { return spec_; }
 
-  /// Fresh dense per-sequence caches (`spec.num_layers` of them) — a
-  /// convenience over runtime::MakeKvCache with this model's dimensions.
+  /// Fresh per-sequence caches (`spec.num_layers` of them) with this
+  /// model's hidden size, keeping every row.
   SequenceCache make_cache(int kv_bits, std::int64_t group_size,
                            MemoryPool& pool) const;
 
@@ -75,9 +74,9 @@ class Transformer {
   LayerWeights fetch_layer(std::int64_t layer);
   /// One layer over one sequence: attention (with cache append) + MLP.
   tensor::Tensor layer_forward(const LayerWeights& w, const tensor::Tensor& x,
-                               KVCacheBase& cache);
+                               KVCache& cache);
   tensor::Tensor attention(const LayerWeights& w, const tensor::Tensor& x,
-                           KVCacheBase& cache);
+                           KVCache& cache);
 
   model::ModelSpec spec_;
   OffloadManager& manager_;

@@ -11,7 +11,7 @@
 #include "lmo/kvshare/prefix_cache.hpp"
 #include "lmo/parallel/adaptive_controller.hpp"
 #include "lmo/perfmodel/estimator.hpp"
-#include "lmo/runtime/kv_factory.hpp"
+#include "lmo/runtime/kv_cache.hpp"
 #include "lmo/runtime/mempool.hpp"
 #include "lmo/util/check.hpp"
 #include "lmo/util/validate.hpp"

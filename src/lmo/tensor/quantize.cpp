@@ -152,41 +152,40 @@ QuantizedTensor quantize_profiled(const Tensor& input,
   return out;
 }
 
-Tensor dequantize(const QuantizedTensor& quantized) {
+void dequantize_into(const QuantizedTensor& quantized, std::span<float> out) {
   LMO_CHECK(quantized.defined());
+  const std::int64_t numel = quantized.original_shape().numel();
+  LMO_CHECK_EQ(static_cast<std::int64_t>(out.size()), numel);
   const std::int64_t gs = quantized.group_size();
-  const std::int64_t padded = quantized.padded_numel();
-  const std::int64_t num_groups = quantized.num_groups();
-  const int bits = quantized.bits();
-
-  // Unpack codes.
-  std::vector<std::uint8_t> codes(static_cast<std::size_t>(padded));
-  if (bits == 8) {
-    codes = quantized.payload();
-  } else {
-    const auto& packed = quantized.payload();
-    for (std::int64_t i = 0; i < padded; i += 2) {
-      const std::uint8_t byte = packed[static_cast<std::size_t>(i / 2)];
-      codes[static_cast<std::size_t>(i)] = byte & 0x0f;
-      codes[static_cast<std::size_t>(i + 1)] = byte >> 4;
-    }
-  }
 
   // Eq. 11: x = q * scale + min (scale already folds in (max-min)/(2^b-1)).
-  std::vector<float> values(static_cast<std::size_t>(padded));
-  for (std::int64_t g = 0; g < num_groups; ++g) {
+  // 4-bit codes are read in place, low nibble first. Codes past `numel` are
+  // padding and are not written.
+  const std::uint8_t* codes = quantized.payload().data();
+  const bool packed = quantized.bits() == 4;
+  float* values = out.data();
+  for (std::int64_t g = 0; g * gs < numel; ++g) {
     const float mn = quantized.group_min()[static_cast<std::size_t>(g)];
     const float scale = quantized.group_scale()[static_cast<std::size_t>(g)];
-    const std::uint8_t* c = codes.data() + g * gs;
-    float* v = values.data() + g * gs;
-    for (std::int64_t i = 0; i < gs; ++i) {
-      v[i] = static_cast<float>(c[i]) * scale + mn;
+    const std::int64_t end = std::min(numel, (g + 1) * gs);
+    if (packed) {
+      for (std::int64_t i = g * gs; i < end; ++i) {
+        const std::uint8_t code = (codes[i >> 1] >> ((i & 1) * 4)) & 0x0f;
+        values[i] = static_cast<float>(code) * scale + mn;
+      }
+    } else {
+      for (std::int64_t i = g * gs; i < end; ++i) {
+        values[i] = static_cast<float>(codes[i]) * scale + mn;
+      }
     }
   }
+}
 
-  // Strip padding, restore original shape.
+Tensor dequantize(const QuantizedTensor& quantized) {
+  LMO_CHECK(quantized.defined());
   const Shape& shape = quantized.original_shape();
-  values.resize(static_cast<std::size_t>(shape.numel()));
+  std::vector<float> values(static_cast<std::size_t>(shape.numel()));
+  dequantize_into(quantized, values);
   return Tensor::from_values(shape, std::move(values));
 }
 

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lmo/tensor/tensor.hpp"
@@ -73,7 +74,6 @@ class QuantizedTensor {
   friend struct QuantPhaseTimes;
   friend QuantizedTensor quantize_profiled(const Tensor&, const QuantConfig&,
                                            struct QuantPhaseTimes*);
-  friend Tensor dequantize(const QuantizedTensor&);
 
   Shape original_shape_;
   QuantConfig config_;
@@ -104,6 +104,11 @@ QuantizedTensor quantize_profiled(const Tensor& input,
 
 /// Reconstruct f32 with Eq. 11; padding is stripped, original shape restored.
 Tensor dequantize(const QuantizedTensor& quantized);
+
+/// Eq. 11 into caller storage: writes the original_shape().numel() values
+/// to `out` (which must be exactly that long) without allocating.
+/// dequantize() is built on it, so both produce the same bits.
+void dequantize_into(const QuantizedTensor& quantized, std::span<float> out);
 
 /// Worst-case absolute reconstruction error for a group spanning
 /// [min, max]: half a quantization step.

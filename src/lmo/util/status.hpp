@@ -104,7 +104,7 @@ class CheckpointVersionMismatch : public CheckpointError {
 };
 
 /// Valid checkpoint, wrong target: the restoring runtime's configuration
-/// (model dims, KV flavor, quantization) differs from the snapshot's.
+/// (model dims, KV window, quantization) differs from the snapshot's.
 class CheckpointMismatch : public CheckpointError {
  public:
   explicit CheckpointMismatch(const std::string& what)

@@ -470,11 +470,15 @@ runtime::RuntimeConfig tiny_runtime_config(const Args& args) {
   config.device_layers = 0;
   config.prefetch_threads = 0;
   config.recovery.retry_backoff_seconds = 1e-5;
-  config.kv_flavor = runtime::kv_flavor_from_string(args.get("kv", "dense"));
-  if (config.kv_flavor == runtime::KVFlavor::kWindow) {
-    config.window_tokens = args.get_int("window", 8);
-  }
+  config.window_tokens = args.get_int("window", 0);
   return config;
+}
+
+/// "full" or "window-N": which KV rows a configuration keeps.
+std::string kv_label(const runtime::RuntimeConfig& config) {
+  return config.window_tokens > 0
+             ? "window-" + std::to_string(config.window_tokens)
+             : std::string("full");
 }
 
 /// `lmo chaos --profile kill-resume`: the crash-recovery determinism drill.
@@ -540,7 +544,7 @@ int cmd_chaos_kill_resume(const Args& args) {
               "on %s, %s KV\n",
               static_cast<unsigned long long>(seed),
               spec.fail_probability * 100.0, config.spec.name.c_str(),
-              runtime::to_string(config.kv_flavor));
+              kv_label(config).c_str());
   std::printf("killed at token %lld/%lld; checkpoint %s (%zu payload "
               "bytes); resumed at token %lld\n",
               static_cast<long long>(kill_at),
@@ -564,8 +568,8 @@ int cmd_chaos_shared_prefix(const Args& args) {
   const std::int64_t gen_len = args.get_int("len", 10);
 
   runtime::RuntimeConfig config = tiny_runtime_config(args);
-  LMO_CHECK_MSG(config.kv_flavor == runtime::KVFlavor::kDense,
-                "shared-prefix profile requires --kv dense");
+  LMO_CHECK_MSG(config.window_tokens == 0,
+                "shared-prefix profile requires full KV (no --window)");
   const std::int64_t block_tokens = args.get_int("kv-block-tokens", 8);
 
   // Batch A warms the cache; batch B shares A's leading tokens and adds
@@ -727,7 +731,7 @@ int cmd_chaos_bitflip(const Args& args) {
               static_cast<unsigned long long>(seed),
               weights_fault.flip_probability * 100.0,
               kv_fault.flip_probability * 100.0, config.spec.name.c_str(),
-              runtime::to_string(config.kv_flavor));
+              kv_label(config).c_str());
   std::printf("flips fired: %llu on weight fetches, %llu on KV read-backs "
               "| %llu loads verified\n",
               static_cast<unsigned long long>(a.fired_weights),
@@ -1121,7 +1125,7 @@ int cmd_checkpoint_verify(const Args& args) {
                 "in order\n");
     std::printf("contents: %s, %s KV, %zu sequence(s) at token %lld/%lld\n",
                 meta.config.spec.name.c_str(),
-                runtime::to_string(meta.config.kv_flavor),
+                kv_label(meta.config).c_str(),
                 meta.num_sequences, static_cast<long long>(meta.produced),
                 static_cast<long long>(meta.gen_len));
   } catch (const util::CheckpointError& e) {
@@ -1158,7 +1162,7 @@ int cmd_checkpoint(const Args& args) {
               "(%zu payload bytes)\n",
               static_cast<long long>(gen.step_index()),
               static_cast<long long>(gen_len), config.spec.name.c_str(),
-              runtime::to_string(config.kv_flavor), out.c_str(),
+              kv_label(config).c_str(), out.c_str(),
               payload_bytes);
   std::printf("continue with: lmo resume --from %s\n", out.c_str());
   return 0;
@@ -1174,7 +1178,7 @@ int cmd_resume(const Args& args) {
   std::printf("checkpoint %s: %s, %s KV, %zu sequence(s) at token "
               "%lld/%lld\n",
               from.c_str(), meta.config.spec.name.c_str(),
-              runtime::to_string(meta.config.kv_flavor), meta.num_sequences,
+              kv_label(meta.config).c_str(), meta.num_sequences,
               static_cast<long long>(meta.produced),
               static_cast<long long>(meta.gen_len));
 
@@ -1424,7 +1428,7 @@ int cmd_chaos(const Args& args) {
                  "profiles: flaky-pcie [--rate P], congested, "
                  "dead-prefetch, oom [--denials N], "
                  "bitflip [--rate P] [--repair-attempts N], "
-                 "kill-resume [--rate P] [--kv dense|paged|window], "
+                 "kill-resume [--rate P] [--window N], "
                  "shared-prefix [--rate P] [--kv-block-tokens N], "
                  "overload [--burst-rate R] [--kv-pool-kb N], "
                  "adaptive [--windows N], "
@@ -1657,7 +1661,7 @@ int usage() {
                "chaos: run generation under a fault profile "
                "(--profile flaky-pcie|congested|dead-prefetch|oom|"
                "kill-resume|shared-prefix|overload|adaptive [--rate P] "
-               "[--denials N] [--seed S] [--kv dense|paged|window] "
+               "[--denials N] [--seed S] [--window N] "
                "[--kv-block-tokens N] [--burst-rate R] [--kv-pool-kb N] "
                "[--windows N])\n"
                "serve: --prefix-share 1 shares prompt KV across requests "
@@ -1668,7 +1672,7 @@ int usage() {
                "[--retries N] [--kv-pool-mb N arms the degradation "
                "ladder]\n"
                "checkpoint: snapshot a generation mid-decode "
-               "([--at N] [--len N] [--kv dense|paged|window] [--out FILE]) "
+               "([--at N] [--len N] [--window N] [--out FILE]) "
                "or validate one without restoring (--verify FILE);"
                "\nresume: finish it from the file (--from FILE)\n"
                "serve integrity: --verify off|sample|always "

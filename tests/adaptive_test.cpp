@@ -18,7 +18,7 @@
 #include "lmo/parallel/parallelism_search.hpp"
 #include "lmo/parallel/threadpool.hpp"
 #include "lmo/runtime/generator.hpp"
-#include "lmo/runtime/kv_factory.hpp"
+#include "lmo/runtime/kv_cache.hpp"
 #include "lmo/runtime/mempool.hpp"
 #include "lmo/serve/server_sim.hpp"
 #include "lmo/sim/engine.hpp"
@@ -380,43 +380,9 @@ TEST(AdaptiveServe, RecoversThroughputUnderDegradedLink) {
   EXPECT_EQ(on.completed, off.completed);
 }
 
-// -- KV-cache factory ------------------------------------------------------
+// -- KV bytes per token ----------------------------------------------------
 
-TEST(KvFactory, FlavorRoundTripsAndRejectsUnknown) {
-  EXPECT_EQ(runtime::kv_flavor_from_string("dense"),
-            runtime::KVFlavor::kDense);
-  EXPECT_EQ(runtime::kv_flavor_from_string("paged"),
-            runtime::KVFlavor::kPaged);
-  EXPECT_EQ(runtime::kv_flavor_from_string("window"),
-            runtime::KVFlavor::kWindow);
-  EXPECT_STREQ(runtime::to_string(runtime::KVFlavor::kPaged), "paged");
-  try {
-    runtime::kv_flavor_from_string("ring");
-    FAIL() << "expected ConfigError";
-  } catch (const util::ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("ring"), std::string::npos);
-  }
-}
-
-TEST(KvFactory, BuildsEachFlavor) {
-  runtime::MemoryPool pool("test", 64 << 20);
-  runtime::PagePool pages(/*hidden=*/64, /*page_tokens=*/16, pool);
-  runtime::KvCacheSpec spec;
-  spec.hidden = 64;
-  spec.num_layers = 4;
-  spec.kv_bits = 16;
-  spec.pool = &pool;
-  spec.page_pool = &pages;
-  spec.window_tokens = 8;
-  for (auto flavor : {runtime::KVFlavor::kDense, runtime::KVFlavor::kPaged,
-                      runtime::KVFlavor::kWindow}) {
-    const auto cache = runtime::MakeKvCache(flavor, spec);
-    ASSERT_EQ(cache.size(), 4u) << runtime::to_string(flavor);
-    ASSERT_NE(cache[0], nullptr);
-  }
-}
-
-TEST(KvFactory, BytesPerTokenMatchesShape) {
+TEST(KvBytesPerToken, MatchesShape) {
   // 2 (K and V) x hidden x bytes-per-element.
   EXPECT_EQ(runtime::kv_bytes_per_token(64, 16), 2u * 64u * 2u);
   EXPECT_EQ(runtime::kv_bytes_per_token(64, 4), 2u * 64u / 2u);

@@ -6,7 +6,6 @@
 
 #include "lmo/runtime/beam_search.hpp"
 #include "lmo/runtime/evaluate.hpp"
-#include "lmo/runtime/paged_kv.hpp"
 #include "lmo/util/check.hpp"
 
 namespace lmo::runtime {
@@ -35,28 +34,29 @@ TEST(CacheClone, ContiguousDeepCopyChargesPool) {
   const auto used_before = pool.used();
   auto copy = cache.clone();
   EXPECT_EQ(pool.used(), 2 * used_before);  // duplicate residency charged
-  EXPECT_EQ(copy->length(), cache.length());
-  EXPECT_EQ(copy->keys().max_abs_diff(cache.keys()), 0.0f);
+  EXPECT_EQ(copy.length(), cache.length());
+  EXPECT_EQ(copy.keys().max_abs_diff(cache.keys()), 0.0f);
   // Diverge the copy; the original is untouched.
-  copy->append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
+  copy.append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
   EXPECT_EQ(cache.length(), 5);
-  EXPECT_EQ(copy->length(), 6);
+  EXPECT_EQ(copy.length(), 6);
 }
 
-TEST(CacheClone, PagedDeepCopyUsesFreshPages) {
-  MemoryPool mem("p", 1 << 20);
-  PagePool pool(8, 4, mem);
-  PagedKVCache cache(pool);
+TEST(CacheClone, SmallBlockCopyIsIndependent) {
+  MemoryPool pool("h", 1 << 20);
+  KVCache cache(8, 16, 8, pool, /*block_tokens=*/4);
   util::Xoshiro256 rng(2);
   for (int i = 0; i < 6; ++i) {
     cache.append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
   }
+  const auto used = pool.used();
   auto copy = cache.clone();
-  EXPECT_EQ(pool.pages_in_use(), 4u);  // 2 + 2
-  EXPECT_EQ(copy->keys().max_abs_diff(cache.keys()), 0.0f);
-  copy->truncate(0);
-  EXPECT_EQ(pool.pages_in_use(), 2u);  // original intact
+  EXPECT_EQ(pool.used(), 2 * used);
+  EXPECT_EQ(copy.keys().max_abs_diff(cache.keys()), 0.0f);
+  copy.truncate(0);
+  EXPECT_EQ(pool.used(), used);  // original intact
   EXPECT_EQ(cache.length(), 6);
+  EXPECT_EQ(cache.blocks(), 2u);
 }
 
 // ------------------------------------------------------------ beam search --

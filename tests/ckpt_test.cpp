@@ -1,14 +1,15 @@
 // Tests for the checkpoint subsystem: envelope validation (every corruption
 // mode maps to one typed error), tensor/KV codec bit-exactness, and the
 // headline robustness contract — a generation killed mid-decode and resumed
-// from its snapshot produces byte-identical tokens, for all three KV cache
-// flavors, even with a transient-fault chaos schedule active across the
-// kill.
+// from its snapshot produces byte-identical tokens, for full, quantized,
+// small-block and windowed KV caches, even with a transient-fault chaos
+// schedule active across the kill.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,6 @@
 #include "lmo/ckpt/tensor_codec.hpp"
 #include "lmo/runtime/checkpoint.hpp"
 #include "lmo/runtime/generator.hpp"
-#include "lmo/runtime/window_kv.hpp"
 #include "lmo/util/check.hpp"
 #include "lmo/util/fault.hpp"
 #include "lmo/util/status.hpp"
@@ -284,23 +284,17 @@ TEST(CkptTensorCodec, GarbageShapeIsCorrupt) {
 
 // ------------------------------------------------------------ kv codec --
 
-runtime::KVRestoreContext context_for(runtime::MemoryPool& pool,
-                                      runtime::PagePool* pages = nullptr) {
-  runtime::KVRestoreContext context;
-  context.pool = &pool;
-  context.page_pool = pages;
-  return context;
-}
-
-void expect_same_contents(const runtime::KVCacheBase& restored,
-                          const runtime::KVCacheBase& original) {
+void expect_same_contents(const runtime::KVCache& restored,
+                          const runtime::KVCache& original) {
   ASSERT_EQ(restored.length(), original.length());
+  EXPECT_EQ(restored.first_row(), original.first_row());
+  EXPECT_EQ(restored.stored_bytes(), original.stored_bytes());
   if (original.length() == 0) return;
   EXPECT_EQ(restored.keys().max_abs_diff(original.keys()), 0.0f);
   EXPECT_EQ(restored.values().max_abs_diff(original.values()), 0.0f);
 }
 
-TEST(CkptKVCodec, DenseRoundTripsPlainAndQuantized) {
+TEST(CkptKVCodec, RoundTripsPlainAndQuantizedRows) {
   util::Xoshiro256 rng(11);
   for (const int bits : {16, 8, 4}) {
     runtime::MemoryPool pool("h", 1 << 20);
@@ -312,35 +306,180 @@ TEST(CkptKVCodec, DenseRoundTripsPlainAndQuantized) {
     ckpt::ByteWriter writer;
     runtime::encode_kv_cache(writer, cache);
     ckpt::ByteReader reader(writer.buffer());
-    const auto restored =
-        runtime::decode_kv_cache(reader, context_for(pool));
+    runtime::KVCache restored(32, bits, 16, pool);
+    runtime::decode_kv_cache(reader, restored);
     EXPECT_TRUE(reader.exhausted());
-    expect_same_contents(*restored, cache);
+    expect_same_contents(restored, cache);
+    // Quantized codes are adopted verbatim, never re-quantized.
+    if (bits != 16) {
+      EXPECT_EQ(restored.row(true, 3).quantized->payload(),
+                cache.row(true, 3).quantized->payload());
+    }
   }
 }
 
-TEST(CkptKVCodec, EmptyDenseCacheRoundTrips) {
+TEST(CkptKVCodec, EmptyCacheRoundTrips) {
   runtime::MemoryPool pool("h", 1 << 20);
   runtime::KVCache cache(16, 16, 16, pool);
   ckpt::ByteWriter writer;
   runtime::encode_kv_cache(writer, cache);
   ckpt::ByteReader reader(writer.buffer());
-  const auto restored = runtime::decode_kv_cache(reader, context_for(pool));
-  EXPECT_EQ(restored->length(), 0);
+  runtime::KVCache restored(16, 16, 16, pool);
+  runtime::decode_kv_cache(reader, restored);
+  EXPECT_EQ(restored.length(), 0);
+  EXPECT_TRUE(reader.exhausted());
 }
 
-TEST(CkptKVCodec, UnknownFlavorTagIsCorrupt) {
-  runtime::MemoryPool pool("h", 1 << 20);
+// ------------------------------------------------ hostile length fields --
+// Every size or count a decoder reads from disk is validated before it is
+// used or allocated: a hostile value surfaces as CheckpointCorrupt, never as
+// CheckError, std::length_error or std::bad_alloc.
+
+/// A v4 KV cache header: geometry, first row and row count.
+std::vector<std::byte> kv_header(std::int64_t hidden, int bits,
+                                 std::int64_t group, std::int64_t first,
+                                 std::uint64_t rows) {
   ckpt::ByteWriter writer;
-  writer.u8(77);  // no such flavor
+  writer.i64(hidden);
+  writer.u8(static_cast<std::uint8_t>(bits));
+  writer.i64(group);
+  writer.i64(first);
+  writer.u64(rows);
+  return writer.take();
+}
+
+void expect_kv_corrupt(const std::vector<std::byte>& bytes) {
+  runtime::MemoryPool pool("h", 1 << 20);
+  runtime::KVCache cache(16, 16, 16, pool);
+  ckpt::ByteReader reader(bytes);
+  EXPECT_THROW(runtime::decode_kv_cache(reader, cache), CheckpointCorrupt);
+  EXPECT_EQ(cache.length(), 0);
+  EXPECT_EQ(pool.used(), 0u);
+}
+
+TEST(CkptHostileLengths, KvHiddenZeroIsCorrupt) {
+  expect_kv_corrupt(kv_header(0, 16, 16, 0, 0));
+}
+
+TEST(CkptHostileLengths, KvRowCountBeyondPayloadIsCorrupt) {
+  expect_kv_corrupt(kv_header(16, 16, 16, 0, std::uint64_t{1} << 60));
+}
+
+TEST(CkptHostileLengths, KvGroupZeroIsCorrupt) {
+  expect_kv_corrupt(kv_header(16, 16, 0, 0, 0));
+}
+
+TEST(CkptKVCodec, FieldsThatDisagreeWithTheCacheAreCorrupt) {
+  std::vector<std::byte> short_row = kv_header(16, 16, 16, 0, 1);
+  ckpt::ByteWriter rows;
+  rows.f32_array(std::vector<float>(15, 0.0f));  // K row one value short
+  rows.f32_array(std::vector<float>(16, 0.0f));
+  const auto tail = rows.take();
+  short_row.insert(short_row.end(), tail.begin(), tail.end());
+  for (const auto& bytes : {
+           kv_header(16, 5, 16, 0, 0),               // bits out of range
+           kv_header(16, 16, 16, -3, 0),             // negative first row
+           kv_header(16, 16, 16, INT64_MAX - 1, 0),  // position overflow
+           kv_header(16, 16, 16, 5, 0),  // unwindowed cache past row 0
+           short_row,
+       }) {
+    expect_kv_corrupt(bytes);
+  }
+}
+
+TEST(CkptBinaryIo, F32ArrayCountThatWrapsIsTruncated) {
+  ckpt::ByteWriter writer;
+  writer.u64(std::uint64_t{1} << 62);  // × 4 bytes wraps to 0
   ckpt::ByteReader reader(writer.buffer());
-  EXPECT_THROW(runtime::decode_kv_cache(reader, context_for(pool)),
-               CheckpointCorrupt);
+  EXPECT_THROW(reader.f32_array(), CheckpointTruncated);
+}
+
+runtime::RuntimeConfig hostile_config() {
+  runtime::RuntimeConfig config;
+  config.spec = model::ModelSpec::tiny(2, 32, 4, 64);
+  config.prefetch_threads = 0;
+  return config;
+}
+
+/// Resume a hand-built generator payload; the first fields are the config
+/// fingerprint and a one-sequence session header.
+void expect_resume_corrupt(
+    const std::function<void(ckpt::ByteWriter&)>& session_body) {
+  const auto config = hostile_config();
+  ckpt::ByteWriter writer;
+  runtime::encode_runtime_config(writer, config);
+  writer.u64(1);    // sequences
+  writer.i64(4);    // gen_len
+  writer.i64(1);    // produced
+  writer.f64(0.0);  // prefill seconds
+  writer.f64(0.0);  // decode seconds
+  session_body(writer);
+  TempFile file("ckpt_test_hostile.ckpt");
+  ckpt::write_checkpoint_file(file.path, ckpt::PayloadKind::kGeneratorState,
+                              writer.take());
+  runtime::Generator gen(config);
+  EXPECT_THROW(gen.resume(file.path), CheckpointCorrupt);
+  EXPECT_FALSE(gen.active());
+}
+
+TEST(CkptHostileLengths, TokenCountBeyondPayloadIsCorrupt) {
+  expect_resume_corrupt([](ckpt::ByteWriter& writer) {
+    writer.u64(std::uint64_t{1} << 61);  // prompt length
+  });
+}
+
+TEST(CkptHostileLengths, FaultStateCountBeyondPayloadIsCorrupt) {
+  expect_resume_corrupt([](ckpt::ByteWriter& writer) {
+    writer.u64(1);  // prompt
+    writer.i64(7);
+    writer.u64(1);  // tokens produced so far
+    writer.i64(9);
+    writer.i64(9);  // next
+    for (int word = 0; word < 4; ++word) writer.u64(1);  // RNG state
+    writer.u64(std::uint64_t{1} << 61);  // fault-site states
+  });
+}
+
+TEST(CkptHostileLengths, KvRowsThatDisagreeWithTheTokenHistoryAreCorrupt) {
+  // A one-token prompt with one produced token has appended one row per
+  // layer; caches claiming none are inconsistent, however well-formed.
+  expect_resume_corrupt([](ckpt::ByteWriter& writer) {
+    writer.u64(1);  // prompt
+    writer.i64(7);
+    writer.u64(1);  // tokens produced so far
+    writer.i64(9);
+    writer.i64(9);  // next
+    for (int word = 0; word < 4; ++word) writer.u64(1);  // RNG state
+    writer.u64(0);  // fault-site states
+    const auto config = hostile_config();
+    for (std::int64_t layer = 0; layer < config.spec.num_layers; ++layer) {
+      const auto header = kv_header(config.spec.hidden, config.kv_bits,
+                                    config.quant_group, 0, 0);
+      for (const std::byte b : header) writer.u8(static_cast<std::uint8_t>(b));
+    }
+  });
+}
+
+TEST(CkptEnvelope, FormatV3IsRejectedAsVersionMismatch) {
+  // v3 carried the per-backend KV codecs; v4 has one codec and no v3
+  // reader, so an old file fails on its header, before any decoding.
+  static_assert(ckpt::kFormatVersion == 4);
+  TempFile file("ckpt_test_v3.bin");
+  ckpt::write_checkpoint_file(file.path, ckpt::PayloadKind::kGeneratorState,
+                              std::vector<std::byte>(8, std::byte{1}));
+  auto bytes = read_file(file.path);
+  bytes[8] = 3;  // version field, little-endian
+  write_file(file.path, bytes);
+  EXPECT_THROW(ckpt::read_checkpoint_file(
+                   file.path, ckpt::PayloadKind::kGeneratorState),
+               CheckpointVersionMismatch);
+  runtime::Generator gen(hostile_config());
+  EXPECT_THROW(gen.resume(file.path), CheckpointVersionMismatch);
 }
 
 // --------------------------------------------- generator kill-resume --
 
-runtime::RuntimeConfig tiny_config(runtime::KVFlavor flavor) {
+runtime::RuntimeConfig tiny_config(std::int64_t window_tokens = 0) {
   runtime::RuntimeConfig config;
   config.spec = model::ModelSpec::tiny(2, 32, 4, 64);
   config.weight_bits = 8;
@@ -348,8 +487,7 @@ runtime::RuntimeConfig tiny_config(runtime::KVFlavor flavor) {
   config.device_layers = 0;
   config.prefetch_threads = 0;
   config.recovery.retry_backoff_seconds = 1e-6;
-  config.kv_flavor = flavor;
-  config.window_tokens = 6;  // small enough that gen_len wraps the ring
+  config.window_tokens = window_tokens;
   // Temperature sampling so the checkpointed RNG state is load-bearing:
   // a restore that failed to reproduce the xoshiro words would diverge.
   config.sampling.temperature = 0.9;
@@ -403,21 +541,24 @@ void expect_kill_resume_deterministic(const runtime::RuntimeConfig& config) {
 }
 
 TEST(GeneratorCkpt, KillResumeIsDeterministicDense) {
-  expect_kill_resume_deterministic(tiny_config(runtime::KVFlavor::kDense));
+  expect_kill_resume_deterministic(tiny_config());
 }
 
 TEST(GeneratorCkpt, KillResumeIsDeterministicDenseQuantizedKV) {
-  auto config = tiny_config(runtime::KVFlavor::kDense);
+  auto config = tiny_config();
   config.kv_bits = 4;
   expect_kill_resume_deterministic(config);
 }
 
-TEST(GeneratorCkpt, KillResumeIsDeterministicPaged) {
-  expect_kill_resume_deterministic(tiny_config(runtime::KVFlavor::kPaged));
+TEST(GeneratorCkpt, KillResumeIsDeterministicSmallBlocks) {
+  auto config = tiny_config();
+  config.kv_block_tokens = 2;  // the cut lands mid-table, many blocks deep
+  expect_kill_resume_deterministic(config);
 }
 
 TEST(GeneratorCkpt, KillResumeIsDeterministicWindow) {
-  expect_kill_resume_deterministic(tiny_config(runtime::KVFlavor::kWindow));
+  // Small enough that gen_len slides rows out of the window.
+  expect_kill_resume_deterministic(tiny_config(/*window_tokens=*/6));
 }
 
 TEST(GeneratorCkpt, SnapshotQuiescesActivePrefetchWorkers) {
@@ -425,7 +566,7 @@ TEST(GeneratorCkpt, SnapshotQuiescesActivePrefetchWorkers) {
   // (OffloadManager::quiesce) before serializing — this is the
   // ThreadSanitizer target path. The resumed run must still match an
   // uninterrupted one.
-  auto config = tiny_config(runtime::KVFlavor::kDense);
+  auto config = tiny_config();
   config.prefetch_threads = 2;
   runtime::Generator reference(config);
   const auto expected = reference.generate(kPrompts, kGenLen).tokens;
@@ -446,7 +587,7 @@ TEST(GeneratorCkpt, SnapshotQuiescesActivePrefetchWorkers) {
 TEST(GeneratorCkpt, SessionApiMatchesGenerate) {
   // No faults, no checkpoint: the incremental session API alone must
   // reproduce the one-shot generate() path.
-  const auto config = tiny_config(runtime::KVFlavor::kDense);
+  const auto config = tiny_config();
   runtime::Generator one_shot(config);
   const auto expected = one_shot.generate(kPrompts, kGenLen);
   runtime::Generator stepped(config);
@@ -460,7 +601,7 @@ TEST(GeneratorCkpt, SessionApiMatchesGenerate) {
 }
 
 TEST(GeneratorCkpt, SessionContractViolationsAreCheckErrors) {
-  const auto config = tiny_config(runtime::KVFlavor::kDense);
+  const auto config = tiny_config();
   runtime::Generator gen(config);
   EXPECT_THROW(gen.step(), CheckError);            // no session
   EXPECT_THROW(gen.finish(), CheckError);          // no session
@@ -473,21 +614,20 @@ TEST(GeneratorCkpt, SessionContractViolationsAreCheckErrors) {
 }
 
 TEST(GeneratorCkpt, ConfigDriftIsMismatch) {
-  const auto config = tiny_config(runtime::KVFlavor::kDense);
+  const auto config = tiny_config();
   TempFile file("ckpt_test_drift.ckpt");
   {
     runtime::Generator gen(config);
     gen.begin(kPrompts, kGenLen);
     gen.snapshot(file.path);
   }
-  // Same model, different quantization / flavor / pool: every drift that
+  // Same model, different quantization / window / pool: every drift that
   // would change the schedule must be rejected, not silently absorbed.
   for (const auto& mutate :
        std::vector<void (*)(runtime::RuntimeConfig&)>{
            [](runtime::RuntimeConfig& c) { c.weight_bits = 4; },
-           [](runtime::RuntimeConfig& c) {
-             c.kv_flavor = runtime::KVFlavor::kPaged;
-           },
+           [](runtime::RuntimeConfig& c) { c.window_tokens = 6; },
+           [](runtime::RuntimeConfig& c) { c.kv_block_tokens = 4; },
            [](runtime::RuntimeConfig& c) { c.host_capacity /= 2; },
            [](runtime::RuntimeConfig& c) { c.sampling.temperature = 0.0; },
        }) {
@@ -500,7 +640,7 @@ TEST(GeneratorCkpt, ConfigDriftIsMismatch) {
 }
 
 TEST(GeneratorCkpt, CorruptCheckpointLeavesGeneratorUsable) {
-  const auto config = tiny_config(runtime::KVFlavor::kDense);
+  const auto config = tiny_config();
   TempFile file("ckpt_test_corrupt.ckpt");
   {
     runtime::Generator gen(config);
@@ -522,7 +662,7 @@ TEST(GeneratorCkpt, CorruptCheckpointLeavesGeneratorUsable) {
 }
 
 TEST(GeneratorCkpt, ReadCheckpointMetaProbesWithoutPools) {
-  auto config = tiny_config(runtime::KVFlavor::kWindow);
+  auto config = tiny_config(/*window_tokens=*/6);
   TempFile file("ckpt_test_meta.ckpt");
   {
     runtime::Generator gen(config);
@@ -545,8 +685,8 @@ TEST(GeneratorCkpt, ReadCheckpointMetaProbesWithoutPools) {
 }
 
 TEST(GeneratorCkpt, RuntimeConfigCodecRoundTrips) {
-  auto config = tiny_config(runtime::KVFlavor::kPaged);
-  config.kv_bits = 16;
+  auto config = tiny_config(/*window_tokens=*/6);
+  config.kv_block_tokens = 4;
   config.compute_threads = 3;
   config.recovery.max_transfer_attempts = 7;
   ckpt::ByteWriter writer;
@@ -556,7 +696,7 @@ TEST(GeneratorCkpt, RuntimeConfigCodecRoundTrips) {
   EXPECT_TRUE(reader.exhausted());
   EXPECT_TRUE(runtime::runtime_config_equal(decoded, config));
   auto other = config;
-  other.page_tokens += 1;
+  other.window_tokens += 1;
   EXPECT_FALSE(runtime::runtime_config_equal(decoded, other));
 }
 

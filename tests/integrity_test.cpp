@@ -406,6 +406,54 @@ TEST(GeneratorIntegrity, RepairsFlipsToByteIdenticalTokens) {
   EXPECT_EQ(metrics.counter("integrity.unrepairable").value(), 0u);
 }
 
+TEST(GeneratorIntegrity, RepairsWindowedKVFlipsToTheCleanCache) {
+  // A windowed cache is rebuilt on the original schedule (prompt, then one
+  // token per forward); a single multi-token replay would let its rows see
+  // fewer predecessors than the steps that first wrote them. Tokens alone
+  // would not show that drift, so the rebuilt rows are compared bit for bit.
+  auto config = tiny_integrity_config();
+  config.window_tokens = 8;
+  config.kv_block_tokens = 4;
+  const std::vector<std::vector<std::int64_t>> prompts = {
+      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, {11, 12, 13}};
+  const std::int64_t gen_len = 16;
+  struct Run {
+    std::vector<std::vector<std::int64_t>> tokens;
+    std::uint32_t kv_digest = 0;
+  };
+  const auto run = [&](runtime::Generator& gen) {
+    gen.begin(prompts, gen_len);
+    while (!gen.done()) gen.step();
+    Run r;
+    r.kv_digest = gen.kv_digest();
+    r.tokens = gen.finish().tokens;
+    return r;
+  };
+
+  runtime::Generator clean_gen(config);
+  const Run clean = run(clean_gen);
+
+  runtime::Generator gen(config);
+  Run chaotic;
+  std::uint64_t fired = 0;
+  {
+    util::ScopedFaultInjection chaos(7);
+    util::FaultSpec kv_spec;
+    kv_spec.flip_probability = 0.0005;
+    chaos.arm("integrity.kv.flip", kv_spec);
+    chaotic = run(gen);
+    fired = chaos.count("integrity.kv.flip", util::FaultKind::kBitFlip);
+  }
+  EXPECT_EQ(chaotic.tokens, clean.tokens);
+  EXPECT_EQ(chaotic.kv_digest, clean.kv_digest);
+
+  ASSERT_GT(fired, 0u) << "drill did not flip a windowed KV row";
+  auto& metrics = gen.manager().metrics();
+  EXPECT_EQ(metrics.counter("integrity.verify.failures").value(), fired);
+  EXPECT_EQ(metrics.counter("integrity.repair.recompute").value(), fired);
+  EXPECT_EQ(metrics.counter("integrity.unrepairable").value(), 0u);
+}
+
 TEST(GeneratorIntegrity, ConfigSurvivesCheckpointFingerprint) {
   // The integrity policy is a serving-time knob like the adaptive
   // controller: deliberately not part of the checkpoint fingerprint, so a

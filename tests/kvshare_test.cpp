@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,11 +19,8 @@
 #include "lmo/kvshare/block_store.hpp"
 #include "lmo/kvshare/prefix_cache.hpp"
 #include "lmo/kvshare/radix_tree.hpp"
-#include "lmo/kvshare/shared_kv_cache.hpp"
 #include "lmo/runtime/generator.hpp"
 #include "lmo/runtime/kv_cache.hpp"
-#include "lmo/runtime/paged_kv.hpp"
-#include "lmo/runtime/window_kv.hpp"
 #include "lmo/serve/server_sim.hpp"
 #include "lmo/serve/workload_gen.hpp"
 #include "lmo/tensor/tensor.hpp"
@@ -275,9 +274,9 @@ TEST(PrefixCache, MatchedPlanesHoldTheInsertedValues) {
   EXPECT_FLOAT_EQ(lease->v_plane(1, 0)[0], 4.0f);
 }
 
-// -- shared KV cache (copy-on-write) ---------------------------------------
+// -- borrowed KV blocks (copy-on-write) ------------------------------------
 
-TEST(SharedKVCache, CowTruncateNeverTouchesSharedBlocks) {
+TEST(BorrowedKV, CowTruncateNeverTouchesSharedBlocks) {
   MemoryPool pool("host", 1 << 20);
   const auto config = small_cache_config();
   PrefixCache cache(config, &pool, nullptr);
@@ -286,7 +285,9 @@ TEST(SharedKVCache, CowTruncateNeverTouchesSharedBlocks) {
   ASSERT_NE(lease, nullptr);
   const float* shared_plane = lease->k_plane(1, 0);
 
-  SharedKVCache a(2, 0, lease, 8, pool);
+  runtime::KVCache a(2, 16, 2, pool, config.block_tokens);
+  a.borrow(lease, 0, 8);
+  EXPECT_EQ(a.stored_bytes(), 0u);  // borrowed rows are the prefix cache's
   a.append(Tensor::full({2}, 100.0f), Tensor::full({2}, -100.0f));
   a.append(Tensor::full({2}, 101.0f), Tensor::full({2}, -101.0f));
   ASSERT_EQ(a.length(), 10);
@@ -295,12 +296,14 @@ TEST(SharedKVCache, CowTruncateNeverTouchesSharedBlocks) {
   auto fork = a.clone();
   a.truncate(6);
   EXPECT_EQ(a.length(), 6);
-  EXPECT_EQ(a.shared_length(), 4);  // kept whole blocks only
+  EXPECT_EQ(a.borrowed_rows(), 4);  // kept whole blocks only
+  EXPECT_EQ(a.stored_bytes(), 2 * 2 * 2 * sizeof(float));  // 2 copied rows
 
   // The fork still sees every original row…
-  EXPECT_EQ(fork->length(), 10);
-  EXPECT_FLOAT_EQ(fork->keys().at({9, 0}), 101.0f);
-  EXPECT_FLOAT_EQ(fork->keys().at({5, 0}), 4.0f);
+  EXPECT_EQ(fork.length(), 10);
+  EXPECT_EQ(fork.borrowed_rows(), 8);
+  EXPECT_FLOAT_EQ(fork.keys().at({9, 0}), 101.0f);
+  EXPECT_FLOAT_EQ(fork.keys().at({5, 0}), 4.0f);
   // …the truncated cache re-reads its surviving rows bit-exactly…
   EXPECT_FLOAT_EQ(a.keys().at({5, 0}), 4.0f);
   EXPECT_FLOAT_EQ(a.values().at({5, 0}), 4.0f);
@@ -310,11 +313,11 @@ TEST(SharedKVCache, CowTruncateNeverTouchesSharedBlocks) {
   // Appending after the CoW diverges the two caches independently.
   a.append(Tensor::full({2}, 500.0f), Tensor::full({2}, -500.0f));
   EXPECT_FLOAT_EQ(a.keys().at({6, 0}), 500.0f);
-  EXPECT_FLOAT_EQ(fork->keys().at({6, 0}), 4.0f);  // still the shared row
-  EXPECT_FLOAT_EQ(fork->keys().at({8, 0}), 100.0f);
+  EXPECT_FLOAT_EQ(fork.keys().at({6, 0}), 4.0f);  // still the shared row
+  EXPECT_FLOAT_EQ(fork.keys().at({8, 0}), 100.0f);
 }
 
-TEST(SharedKVCache, TruncateToZeroDropsTheLeaseAndAllPoolBytes) {
+TEST(BorrowedKV, TruncateToZeroDropsTheLeaseAndAllPoolBytes) {
   MemoryPool pool("host", 1 << 20);
   const auto config = small_cache_config();
   PrefixCache cache(config, &pool, nullptr);
@@ -324,12 +327,15 @@ TEST(SharedKVCache, TruncateToZeroDropsTheLeaseAndAllPoolBytes) {
   auto lease = cache.match(seq(12));
   ASSERT_NE(lease, nullptr);
   {
-    SharedKVCache a(2, 0, std::move(lease), 8, pool);
+    runtime::KVCache a(2, 16, 2, pool, config.block_tokens);
+    a.borrow(std::move(lease), 0, 8);
+    EXPECT_EQ(cache.pinned_leases(), 1u);
     a.append(Tensor::full({2}, 1.0f), Tensor::full({2}, 2.0f));
     EXPECT_GT(a.stored_bytes(), 0u);
     a.truncate(0);
     EXPECT_EQ(a.length(), 0);
     EXPECT_EQ(a.stored_bytes(), 0u);
+    EXPECT_EQ(cache.pinned_leases(), 0u);  // the chain is unpinned
     EXPECT_EQ(pool.used(), cached_bytes);  // private bytes all returned
     a.append(Tensor::full({2}, 3.0f), Tensor::full({2}, 4.0f));
     EXPECT_FLOAT_EQ(a.keys().at({0, 0}), 3.0f);
@@ -337,25 +343,36 @@ TEST(SharedKVCache, TruncateToZeroDropsTheLeaseAndAllPoolBytes) {
   EXPECT_EQ(pool.used(), cached_bytes);  // destructor exact too
 }
 
-// -- pool-accounting property: every backend returns to baseline -----------
+TEST(BorrowedKV, RejectsMismatchedBlocksAndQuantizedCaches) {
+  MemoryPool pool("host", 1 << 20);
+  const auto config = small_cache_config();
+  PrefixCache cache(config, &pool, nullptr);
+  cache.insert(seq(8), offset_writer(config));
+  auto lease = cache.match(seq(12));
+  ASSERT_NE(lease, nullptr);
+  runtime::KVCache other_blocks(2, 16, 2, pool, config.block_tokens * 2);
+  EXPECT_THROW(other_blocks.borrow(lease, 0, 8), util::CheckError);
+  runtime::KVCache quantized(2, 8, 2, pool, config.block_tokens);
+  EXPECT_THROW(quantized.borrow(lease, 0, 8), util::CheckError);
+  runtime::KVCache partial(2, 16, 2, pool, config.block_tokens);
+  EXPECT_THROW(partial.borrow(lease, 0, 6), util::CheckError);  // not whole
+}
+
+// -- pool-accounting property: every cache shape returns to baseline --------
 
 TEST(KVPoolAccounting, CloneDestroyAndTruncateToZeroReturnToBaseline) {
   util::Xoshiro256 rng(11);
   const std::int64_t hidden = 8;
-  for (const char* flavor : {"dense", "paged", "window", "shared"}) {
-    SCOPED_TRACE(flavor);
+  for (const char* shape : {"f32", "kv4", "window", "borrowed"}) {
+    SCOPED_TRACE(shape);
+    const std::string name = shape;
     MemoryPool pool("host", 1 << 20);
-    std::unique_ptr<runtime::PagePool> pages;
     std::unique_ptr<PrefixCache> prefix;
-    std::unique_ptr<runtime::KVCacheBase> cache;
-    if (std::string(flavor) == "dense") {
-      cache = std::make_unique<runtime::KVCache>(hidden, 16, 8, pool);
-    } else if (std::string(flavor) == "paged") {
-      pages = std::make_unique<runtime::PagePool>(hidden, 4, pool);
-      cache = std::make_unique<runtime::PagedKVCache>(*pages);
-    } else if (std::string(flavor) == "window") {
-      cache = std::make_unique<runtime::WindowKVCache>(hidden, 32, pool);
-    } else {
+    const int bits = name == "kv4" ? 4 : 16;
+    const std::int64_t window = name == "window" ? 6 : 0;
+    auto cache = std::make_unique<runtime::KVCache>(hidden, bits, 8, pool,
+                                                    /*block_tokens=*/4, window);
+    if (name == "borrowed") {
       PrefixCacheConfig config;
       config.block_tokens = 4;
       config.hidden = hidden;
@@ -366,8 +383,7 @@ TEST(KVPoolAccounting, CloneDestroyAndTruncateToZeroReturnToBaseline) {
           payload[i] = 0.5f;
         }
       });
-      cache = std::make_unique<SharedKVCache>(hidden, 0,
-                                              prefix->match(seq(12)), 8, pool);
+      cache->borrow(prefix->match(seq(12)), 0, 8);
     }
     const auto empty_bytes = pool.used();
 
@@ -384,13 +400,12 @@ TEST(KVPoolAccounting, CloneDestroyAndTruncateToZeroReturnToBaseline) {
     }
     EXPECT_EQ(pool.used(), filled_bytes);
 
-    // truncate-to-zero returns every variable byte (the window ring is a
-    // fixed construction-time charge by design, included in empty_bytes).
+    // truncate-to-zero returns every private byte; nothing is reserved at
+    // construction, so that is the empty baseline.
     cache->truncate(0);
     EXPECT_EQ(pool.used(), empty_bytes);
 
     cache.reset();
-    pages.reset();
     prefix.reset();
     EXPECT_EQ(pool.used(), 0u);
   }
@@ -527,12 +542,12 @@ TEST(GeneratorPrefixShare, TokensAreByteIdenticalToSharingOff) {
   EXPECT_GT(snap.counter("kvshare.bytes_saved"), 0u);
 }
 
-TEST(GeneratorPrefixShare, RequiresDenseF32KV) {
+TEST(GeneratorPrefixShare, RequiresUnwindowedF32KV) {
   auto config = tiny_share_config();
   config.prefix_share = true;
-  config.kv_flavor = runtime::KVFlavor::kPaged;
+  config.window_tokens = 8;
   EXPECT_THROW(runtime::Generator{config}, util::CheckError);
-  config.kv_flavor = runtime::KVFlavor::kDense;
+  config.window_tokens = 0;
   config.kv_bits = 4;
   EXPECT_THROW(runtime::Generator{config}, util::CheckError);
 }

@@ -96,6 +96,20 @@ TEST(InterOp, RunsEveryOpOnceRespectingDeps) {
   for (auto& d : done) EXPECT_TRUE(d.load());
 }
 
+TEST(InterOp, ReturnsOnlyAfterEveryCallbackLeaves) {
+  // A worker keeps touching run_graph's locals (pump, notify) after its op
+  // completes; returning on the last completion alone left it running on a
+  // dead frame. Many back-to-back graphs make that window likely to hit.
+  auto g = diamond();
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  for (int round = 0; round < 2000; ++round) {
+    const auto stats = run_graph(g, pool, 4, [&](model::OpId) { ++ran; });
+    ASSERT_EQ(stats.ops_executed, 4u);
+  }
+  EXPECT_EQ(ran.load(), 4 * 2000);
+}
+
 TEST(InterOp, AdmissionLimitBoundsConcurrency) {
   // Wide graph (8 independent ops) with inter-op limit 2.
   model::OpGraph g;

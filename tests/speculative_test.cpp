@@ -1,7 +1,7 @@
 // Tests for speculative decoding and KV-cache truncation (its substrate).
 #include <gtest/gtest.h>
 
-#include "lmo/runtime/paged_kv.hpp"
+#include "lmo/runtime/kv_cache.hpp"
 #include "lmo/tensor/ops.hpp"
 #include "lmo/runtime/speculative.hpp"
 #include "lmo/util/check.hpp"
@@ -40,20 +40,21 @@ TEST(Truncate, ContiguousCacheRollsBackAndRefundsPool) {
   EXPECT_THROW(cache.truncate(5), CheckError);
 }
 
-TEST(Truncate, PagedCacheFreesWholePages) {
+TEST(Truncate, BlockTableDropsWholeBlocks) {
   MemoryPool mem("p", 1 << 20);
-  PagePool pool(8, 4, mem);
-  PagedKVCache cache(pool);
+  KVCache cache(8, 16, 8, mem, /*block_tokens=*/4);
   util::Xoshiro256 rng(2);
   for (int i = 0; i < 10; ++i) {
     cache.append(Tensor::uniform({8}, rng), Tensor::uniform({8}, rng));
   }
-  EXPECT_EQ(pool.pages_in_use(), 3u);  // ceil(10/4)
-  cache.truncate(4);                   // exactly one page's worth
+  EXPECT_EQ(cache.blocks(), 3u);  // ceil(10/4)
+  cache.truncate(4);              // exactly one block's worth
   EXPECT_EQ(cache.length(), 4);
-  EXPECT_EQ(pool.pages_in_use(), 1u);
+  EXPECT_EQ(cache.blocks(), 1u);
+  EXPECT_EQ(mem.used(), 4 * 2 * 8 * sizeof(float));
   cache.truncate(0);
-  EXPECT_EQ(pool.pages_in_use(), 0u);
+  EXPECT_EQ(cache.blocks(), 0u);
+  EXPECT_EQ(mem.used(), 0u);
 }
 
 // ----------------------------------------------------------- speculative --
