@@ -60,16 +60,16 @@ void ServeConfig::validate() const {
               "token-budget admission needs the overload KV pool "
               "(overload.enabled) to price headroom");
     v.gt("ckpt_interval_tokens", ckpt_interval_tokens, 0);
-    for (const CorruptionEvent& c : corruptions) {
-      v.ge("corruptions.at_seconds", c.at_seconds, 0.0);
-      v.require("corruptions.request_id", c.request_id >= 0,
-                "must name a request id");
-    }
-    for (const CrashEvent& c : crashes) {
-      v.ge("crashes.at_seconds", c.at_seconds, 0.0);
+    bool crash_scheduled = false;
+    for (const ServeEvent& e : events) {
+      v.ge("events.at_seconds", e.at_seconds, 0.0);
+      v.require("events.request_id",
+                e.kind != ServeEventKind::kCorruption || e.request_id >= 0,
+                "a corruption event must name a request id");
+      crash_scheduled = crash_scheduled || e.kind == ServeEventKind::kCrash;
     }
     v.require("recover_disk_gbps",
-              crashes.empty() || recover_disk_gbps > 0.0,
+              !crash_scheduled || recover_disk_gbps > 0.0,
               "crash recovery needs a positive replay bandwidth");
   });
   // Bounded admission: the controller config owns the queue-bound and
@@ -124,6 +124,12 @@ struct Queued {
   int attempt = 1;
 };
 
+/// Why a session leaves the batch for the suspended queue.
+enum class Cause { kPreempt, kOverloadPreempt, kCorruption, kCrash };
+
+/// How a request leaves the system for good.
+enum class Fate { kCompleted, kFailed, kShed, kRejected };
+
 /// Duration of one engine step for the current batch composition: a decode
 /// token for every in-flight sequence, using the per-layer Eq.-2 cost at
 /// the batch's mean progress.
@@ -144,7 +150,6 @@ double decode_step_seconds(const model::ModelSpec& spec,
   model::Workload w;
   w.prompt_len = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(prompt_sum / static_cast<double>(batch)));
-  w.gen_len = 2;  // step_costs only uses t below
   w.gpu_batch = batch;
   w.num_batches = 1;
   const std::int64_t t = std::max<std::int64_t>(
@@ -155,46 +160,11 @@ double decode_step_seconds(const model::ModelSpec& spec,
   return costs.t_gen * static_cast<double>(spec.num_layers);
 }
 
-/// Compute-only cost of pushing `tokens` prompt tokens through all layers
-/// (the chunked-prefill increment piggybacked on a decode step).
-double chunk_prefill_seconds(const model::ModelSpec& spec,
-                             const perfmodel::Policy& policy,
-                             const hw::Platform& platform,
-                             std::int64_t tokens) {
-  if (tokens <= 0) return 0.0;
-  model::Workload w;
-  w.prompt_len = tokens;
-  w.gen_len = 2;
-  w.gpu_batch = 1;
-  w.num_batches = 1;
-  const double compute = model::layer_prefill_flops(spec, w) /
-                         platform.gpu_matmul_flops();
-  const double weights =
-      model::layer_weight_bytes(spec, policy.weight_bits) *
-      (1.0 - policy.weights_on_gpu) / platform.h2d_bw();
-  // Disk-tier weight shards stream disk→CPU before the H2D hop; at
-  // prefill the slower of the two pipes bounds the layer.
-  const double disk = platform.disk_to_cpu.transfer_seconds(
-      model::layer_weight_bytes(spec, policy.weight_bits) *
-      policy.weights_on_disk);
-  return std::max({compute, weights, disk}) *
-         static_cast<double>(spec.num_layers);
-}
-
-/// Seconds to move one sequence's KV cache across the PCIe link in one
-/// direction (`bw` = device→host or host→device bandwidth). The volume is
-/// the at-rest cache: kv_tokens × (K + V) × hidden × kv_bits.
-double kv_swap_seconds(const model::ModelSpec& spec, int kv_bits,
-                       std::int64_t kv_tokens, double bw) {
-  const double bytes = static_cast<double>(kv_tokens) * 2.0 *
-                       static_cast<double>(spec.hidden) *
-                       (static_cast<double>(kv_bits) / 8.0);
-  return bytes / bw;
-}
-
 /// Prefill cost for newly admitted sequences, given the prompt tokens each
 /// actually has to push through the engine (the unmatched suffix when
-/// prefix sharing is on; the whole prompt otherwise).
+/// prefix sharing is on; the whole prompt otherwise). Also prices a chunked
+/// prefill increment and the recompute of an evicted shared prefix, each
+/// as a one-entry list. An empty list costs 0.
 double prefill_seconds(const model::ModelSpec& spec,
                        const perfmodel::Policy& policy,
                        const hw::Platform& platform,
@@ -217,7 +187,8 @@ double prefill_seconds(const model::ModelSpec& spec,
   const double weights =
       model::layer_weight_bytes(spec, policy.weight_bits) *
       (1.0 - policy.weights_on_gpu) / platform.h2d_bw();
-  // Disk-tier shards ride disk→CPU first (see chunk_prefill_seconds).
+  // Disk-tier weight shards stream disk→CPU before the H2D hop; at
+  // prefill the slower of the two pipes bounds the layer.
   const double disk = platform.disk_to_cpu.transfer_seconds(
       model::layer_weight_bytes(spec, policy.weight_bits) *
       policy.weights_on_disk);
@@ -300,9 +271,9 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
   telemetry::Gauge& m_verify_bytes = reg.gauge("integrity.verify.bytes");
   telemetry::Gauge& m_verify_seconds =
       reg.gauge("integrity.verify.seconds");
-  // Engine crash/recover accounting (see CrashEvent and lmo/recover/).
+  // Engine crash/recover accounting (see ServeEventKind::kCrash).
   telemetry::Counter& m_crashes = reg.counter("serve.crash.total");
-  telemetry::Counter& m_crash_rollback =
+  telemetry::Counter& m_crash_rolled_back =
       reg.counter("serve.crash.rollback.tokens");
   telemetry::Gauge& m_crash_recovery =
       reg.gauge("serve.crash.recovery_seconds");
@@ -313,8 +284,7 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
 
   if (trace != nullptr) {
     trace->set_process_name(kServeTracePid, "serve-engine");
-    for (std::size_t i = 0; i < config.fault_windows.size(); ++i) {
-      const FaultWindow& w = config.fault_windows[i];
+    for (const FaultWindow& w : config.fault_windows) {
       trace->complete("fault_window", "serve.fault", kServeTracePid, 0,
                       w.begin * 1e6, (w.end - w.begin) * 1e6);
     }
@@ -332,10 +302,9 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
   // Overload protection: a modelled KV pool with pressure watermarks and
   // the degradation ladder it drives. Declared before the prefix cache so
   // the cache's pressure callback is removed before the pool dies.
-  const bool overload_on = config.overload.enabled;
   std::unique_ptr<runtime::MemoryPool> kv_pool;
   std::optional<overload::DegradationLadder> ladder;
-  if (overload_on) {
+  if (config.overload.enabled) {
     kv_pool = std::make_unique<runtime::MemoryPool>(
         "serve.kv", config.overload.kv_pool_bytes);
     kv_pool->set_watermarks(config.overload.watermarks);
@@ -344,10 +313,10 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
   }
 
   // Accounting-only prefix cache: blocks carry modelled bytes, no floats.
-  // Charged per token with the same volume kv_swap_seconds moves, so hit
-  // savings and swap savings are in one currency. With overload on, the
-  // shared block store charges the KV pool too — and registers the
-  // pressure callback that evicts unpinned chains before a charge fails.
+  // Charged per token with the same volume a swap moves, so hit savings
+  // and swap savings are in one currency. With overload on, the shared
+  // block store charges the KV pool too — and registers the pressure
+  // callback that evicts unpinned chains before a charge fails.
   const std::size_t kv_token_bytes =
       runtime::kv_bytes_per_token(spec.hidden, policy.kv_bits);
   std::unique_ptr<kvshare::PrefixCache> prefix_cache;
@@ -355,7 +324,7 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
     kvshare::PrefixCacheConfig pc;
     pc.block_tokens = config.kv_block_tokens;
     pc.materialize = false;
-    pc.bytes_per_token = std::max<std::size_t>(1, kv_token_bytes);
+    pc.bytes_per_token = kv_token_bytes;
     pc.capacity_bytes = config.prefix_cache_bytes;
     prefix_cache =
         std::make_unique<kvshare::PrefixCache>(pc, kv_pool.get(), &reg);
@@ -409,24 +378,52 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
   ServeMetrics metrics;
   metrics.outcomes.resize(requests.size());
 
-  // Per-request lifecycle on the engine timeline: one trace row per
-  // request id, wait-for-first-token then decode (or a single aborted
-  // span). Virtual timestamps in microseconds, matching the simulator's
+  // The one place a request's final outcome is written. `a` is the session
+  // the request ran as; null for a request refused or dropped before
+  // admission, which never produced a token or suffered a swap. On the
+  // trace each request gets one row (tid = id + 1): wait-for-first-token
+  // then decode, a single aborted span, or a zero-length shed/rejected
+  // mark. Virtual timestamps in microseconds, matching the simulator's
   // predicted-timeline export.
-  const auto trace_outcome = [&](const RequestOutcome& outcome,
-                                 double arrival) {
-    if (trace == nullptr) return;
-    const int tid = static_cast<int>(outcome.id) + 1;
-    if (!outcome.completed) {
-      trace->complete("aborted", "serve.request", kServeTracePid, tid,
-                      arrival * 1e6, outcome.latency * 1e6);
-      return;
+  const auto record_outcome = [&](const Request& r, int attempt,
+                                  const Active* a, Fate fate) {
+    auto& outcome = metrics.outcomes[static_cast<std::size_t>(r.id)];
+    outcome.id = r.id;
+    outcome.ttft = a != nullptr && a->first_token_time >= 0.0
+                       ? a->first_token_time - r.arrival_seconds
+                       : 0.0;
+    outcome.latency = clock - r.arrival_seconds;
+    outcome.tokens = a != nullptr ? a->generated : 0;
+    outcome.attempts = attempt;
+    outcome.preemptions = a != nullptr ? a->preemptions : 0;
+    outcome.completed = fate == Fate::kCompleted;
+    outcome.met_deadline =
+        outcome.completed && (config.deadline_seconds <= 0.0 ||
+                              clock - a->submit <= config.deadline_seconds);
+    outcome.shed = fate == Fate::kShed || fate == Fate::kRejected;
+    if (outcome.completed) {
+      m_completed.add();
+      m_ttft.record(outcome.ttft);
+      m_latency.record(outcome.latency);
+    } else if (outcome.shed) {
+      (fate == Fate::kRejected ? m_rejected : m_shed).add();
     }
-    trace->complete("wait_first_token", "serve.request", kServeTracePid, tid,
-                    arrival * 1e6, outcome.ttft * 1e6);
-    trace->complete("decode", "serve.request", kServeTracePid, tid,
-                    (arrival + outcome.ttft) * 1e6,
-                    (outcome.latency - outcome.ttft) * 1e6);
+    if (trace == nullptr) return;
+    const int tid = static_cast<int>(r.id) + 1;
+    if (outcome.shed) {
+      trace->complete(fate == Fate::kRejected ? "rejected" : "shed",
+                      "serve.overload", kServeTracePid, tid, clock * 1e6,
+                      0.0);
+    } else if (!outcome.completed) {
+      trace->complete("aborted", "serve.request", kServeTracePid, tid,
+                      r.arrival_seconds * 1e6, outcome.latency * 1e6);
+    } else {
+      trace->complete("wait_first_token", "serve.request", kServeTracePid,
+                      tid, r.arrival_seconds * 1e6, outcome.ttft * 1e6);
+      trace->complete("decode", "serve.request", kServeTracePid, tid,
+                      (r.arrival_seconds + outcome.ttft) * 1e6,
+                      (outcome.latency - outcome.ttft) * 1e6);
+    }
   };
 
   // Smallest bandwidth factor among fault windows containing `now`; step
@@ -441,7 +438,7 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
     return factor;
   };
 
-  // ---- integrity: verify-bandwidth charge and injected corruption -------
+  // ---- integrity: verify-bandwidth charge --------------------------------
   // Fraction of fetched bytes the verify policy actually checksums; the
   // per-step charge multiplies the verified volume by it, so verify=off
   // costs exactly zero and verify=sample amortizes by the period.
@@ -456,17 +453,38 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
       model::layer_weight_bytes(spec, policy.weight_bits) *
       (1.0 - policy.weights_on_gpu) * static_cast<double>(spec.num_layers);
   double verify_seconds_total = 0.0;
-  std::vector<CorruptionEvent> corruptions = config.corruptions;
-  std::sort(corruptions.begin(), corruptions.end(),
-            [](const CorruptionEvent& a, const CorruptionEvent& b) {
-              return a.at_seconds < b.at_seconds;
-            });
-  std::size_t next_corruption = 0;
-  const auto rollback = [&](Active& a) {
+
+  // ---- suspend, roll back, resume ----------------------------------------
+
+  // Move a session's private KV tail across the link (`bw` = device→host
+  // or host→device bandwidth); shared blocks stay in the block store.
+  const auto swap_kv = [&](const Active& a, double bw, const char* name,
+                           const char* category) {
+    const auto bytes = static_cast<double>(kv_target_bytes(a));
+    const double cost = bytes / bw / bandwidth_factor(clock);
+    clock += cost;
+    swap_seconds += cost;
+    swap_bytes += bytes;
+    if (trace != nullptr) {
+      trace->complete(name, category, kServeTracePid,
+                      static_cast<int>(a.request.id) + 1,
+                      (clock - cost) * 1e6, cost * 1e6);
+    }
+  };
+
+  // Roll a session back to its last ckpt_interval_tokens boundary; the
+  // dropped tail is re-decoded after the swap-in restores the checkpointed
+  // KV. A suspended session rolls back in place.
+  const auto roll_back = [&](Active& a, Cause cause) {
     const std::int64_t keep = (a.generated / config.ckpt_interval_tokens) *
                               config.ckpt_interval_tokens;
-    m_rollback_tokens.add(static_cast<std::uint64_t>(a.generated - keep));
+    const auto lost = static_cast<std::uint64_t>(a.generated - keep);
     a.generated = keep;
+    if (cause == Cause::kCrash) {
+      m_crash_rolled_back.add(lost);
+      return;
+    }
+    m_rollback_tokens.add(lost);
     integrity_reg.note_repair(integrity::RepairKind::kRecompute);
     m_corrupt_detected.add();
     if (trace != nullptr) {
@@ -474,87 +492,105 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
                       static_cast<int>(a.request.id) + 1, clock * 1e6, 0.0);
     }
   };
-  const auto process_corruptions = [&] {
-    while (next_corruption < corruptions.size() &&
-           corruptions[next_corruption].at_seconds <= clock) {
-      const CorruptionEvent ev = corruptions[next_corruption++];
+
+  // Move `active[index]` to the suspended queue, dropping its prefix pin
+  // and its KV pool charge; it re-enters through the swap-in in admit().
+  // A preemption swaps the private KV out at device→host cost and resumes
+  // exactly where it stopped. A corruption or crash pays no swap-out and
+  // is not a preemption: the session rolls back to its checkpoint instead.
+  const auto suspend = [&](std::size_t index, Cause cause) {
+    Active& s = active[index];
+    if (cause == Cause::kPreempt || cause == Cause::kOverloadPreempt) {
+      const bool overload = cause == Cause::kOverloadPreempt;
+      swap_kv(s, platform.d2h_bw(), "swap_out",
+              overload ? "serve.overload" : "serve.preempt");
+      ++s.preemptions;
+      m_preempts.add();
+      if (overload) m_ovl_preempts.add();
+    } else {
+      roll_back(s, cause);
+    }
+    s.lease.reset();
+    release_kv(s);
+    suspended.push_back(std::move(s));
+    active.erase(active.begin() + static_cast<std::ptrdiff_t>(index));
+  };
+
+  // Lowest-priority preemptible in-flight session, ties broken by the most
+  // remaining work; `exclude` guards against self-preemption. -1 when
+  // nobody qualifies.
+  const auto lowest_priority_victim =
+      [&](const Active* exclude) -> std::ptrdiff_t {
+    std::ptrdiff_t victim = -1;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      const Active& a = active[i];
+      if (&a == exclude || !a.decoding() ||
+          a.preemptions >= config.max_preemptions_per_request) {
+        continue;
+      }
+      if (victim < 0) {
+        victim = static_cast<std::ptrdiff_t>(i);
+        continue;
+      }
+      const Active& v = active[static_cast<std::size_t>(victim)];
+      if (a.request.priority < v.request.priority ||
+          (a.request.priority == v.request.priority &&
+           a.remaining() > v.remaining())) {
+        victim = static_cast<std::ptrdiff_t>(i);
+      }
+    }
+    return victim;
+  };
+
+  // ---- scheduled events: corruption and crash -----------------------------
+  std::vector<ServeEvent> events = config.events;
+  std::stable_sort(events.begin(), events.end(),
+                   [](const ServeEvent& a, const ServeEvent& b) {
+                     return a.at_seconds < b.at_seconds;
+                   });
+  std::size_t next_event = 0;
+  const auto process_events = [&] {
+    while (next_event < events.size() &&
+           events[next_event].at_seconds <= clock) {
+      const ServeEvent ev = events[next_event++];
+      if (ev.kind == ServeEventKind::kCrash) {
+        m_crashes.add();
+        // Recovery stall: a fresh engine replays the spill-store journal
+        // and restores the last durable checkpoint before serving resumes,
+        // the same charge the bench's measured-vs-predicted gate uses.
+        const double stall = static_cast<double>(config.recover_spill_bytes) /
+                             (config.recover_disk_gbps * 1e9);
+        if (trace != nullptr) {
+          trace->complete("crash_recover", "serve.crash", kServeTracePid, 0,
+                          clock * 1e6, stall * 1e6);
+        }
+        clock += stall;
+        m_crash_recovery.add(stall);
+        // The whole engine dies: suspended sessions roll their cursor back
+        // in place, and every in-flight one (from the back of the batch)
+        // loses its device KV too.
+        for (Active& s : suspended) roll_back(s, Cause::kCrash);
+        while (!active.empty()) suspend(active.size() - 1, Cause::kCrash);
+        continue;
+      }
+      const auto named = [&](const Active& a) {
+        return a.request.id == ev.request_id;
+      };
+      const auto running = std::find_if(active.begin(), active.end(), named);
+      const auto parked =
+          std::find_if(suspended.begin(), suspended.end(), named);
+      // A queued, finished or unknown request holds no KV to rot.
+      if (running == active.end() && parked == suspended.end()) continue;
       if (!config.integrity.enabled()) {
         // Nothing checks the bytes: in a real serving stack this is the
         // silent token divergence the integrity layer exists to stop.
         m_corrupt_undetected.add();
-        continue;
+      } else if (running != active.end()) {
+        suspend(static_cast<std::size_t>(running - active.begin()),
+                Cause::kCorruption);
+      } else {
+        roll_back(*parked, Cause::kCorruption);
       }
-      bool handled = false;
-      for (std::size_t i = 0; i < active.size() && !handled; ++i) {
-        if (active[i].request.id != ev.request_id) continue;
-        Active victim = std::move(active[i]);
-        active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
-        rollback(victim);
-        // Checkpoint-rollback re-admission: the corrupt KV charge is
-        // dropped and the session re-enters through the swap-in path,
-        // restoring its checkpointed KV at link cost before re-decoding
-        // the rolled-back tail. Not counted as a preemption — the slot
-        // was lost to repair, not to a waiter.
-        victim.lease.reset();
-        release_kv(victim);
-        suspended.push_back(std::move(victim));
-        handled = true;
-      }
-      if (handled) continue;
-      for (Active& s : suspended) {
-        if (s.request.id != ev.request_id) continue;
-        // Already swapped out: roll the checkpoint cursor back in place;
-        // the regular swap-in restores from there.
-        rollback(s);
-        break;
-      }
-      // Events naming a queued or finished request are inert.
-    }
-  };
-
-  std::vector<CrashEvent> crashes = config.crashes;
-  std::sort(crashes.begin(), crashes.end(),
-            [](const CrashEvent& a, const CrashEvent& b) {
-              return a.at_seconds < b.at_seconds;
-            });
-  std::size_t next_crash = 0;
-  const auto process_crashes = [&] {
-    while (next_crash < crashes.size() &&
-           crashes[next_crash].at_seconds <= clock) {
-      ++next_crash;
-      m_crashes.add();
-      // Recovery stall: a fresh engine replays the spill-store journal and
-      // restores the last durable checkpoint before serving resumes —
-      // recover_spill_bytes at recover_disk_gbps, the same charge the
-      // bench's measured-vs-predicted gate uses.
-      const double stall = static_cast<double>(config.recover_spill_bytes) /
-                           (config.recover_disk_gbps * 1e9);
-      if (trace != nullptr) {
-        trace->complete("crash_recover", "serve.crash", kServeTracePid, 0,
-                        clock * 1e6, stall * 1e6);
-      }
-      clock += stall;
-      m_crash_recovery.add(stall);
-      // The whole engine dies: every in-flight session loses its device KV
-      // and rolls back to its last checkpoint boundary, then re-enters
-      // through the swap-in path (restoring KV at link cost) exactly like
-      // a preemption victim. Already-suspended sessions roll their cursor
-      // back in place — their next swap-in restores from the checkpoint.
-      const auto crash_rollback = [&](Active& a) {
-        const std::int64_t keep = (a.generated / config.ckpt_interval_tokens) *
-                                  config.ckpt_interval_tokens;
-        m_crash_rollback.add(static_cast<std::uint64_t>(a.generated - keep));
-        a.generated = keep;
-      };
-      while (!active.empty()) {
-        Active victim = std::move(active.back());
-        active.pop_back();
-        crash_rollback(victim);
-        victim.lease.reset();
-        release_kv(victim);
-        suspended.push_back(std::move(victim));
-      }
-      for (Active& s : suspended) crash_rollback(s);
     }
   };
 
@@ -650,7 +686,6 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
           spec, policy, platform, r, config.max_batch));
     }
   }
-  const std::size_t policy_token_bytes = kv_bytes_per_token(policy.kv_bits);
   const auto describe = [&](const Request& r, double submit) {
     overload::AdmissionRequest d;
     d.id = r.id;
@@ -658,60 +693,16 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
     d.predicted_service_seconds =
         predicted_service[static_cast<std::size_t>(r.id)];
     d.predicted_kv_bytes =
-        static_cast<std::size_t>(r.prompt_len + r.gen_len) *
-        policy_token_bytes;
+        static_cast<std::size_t>(r.prompt_len + r.gen_len) * kv_token_bytes;
     d.priority = r.priority;
     return d;
-  };
-
-  // A request refused at (re-)admission or dropped from the queue.
-  const auto shed_request = [&](const Request& r, int attempt,
-                                bool rejected) {
-    auto& outcome = metrics.outcomes[static_cast<std::size_t>(r.id)];
-    outcome.id = r.id;
-    outcome.ttft = 0.0;
-    outcome.latency = clock - r.arrival_seconds;
-    outcome.tokens = 0;
-    outcome.attempts = attempt;
-    outcome.completed = false;
-    outcome.met_deadline = false;
-    outcome.shed = true;
-    (rejected ? m_rejected : m_shed).add();
-    if (trace != nullptr) {
-      trace->complete(rejected ? "rejected" : "shed", "serve.overload",
-                      kServeTracePid, static_cast<int>(r.id) + 1, clock * 1e6,
-                      0.0);
-    }
-  };
-
-  // An in-flight (or suspended) session the pool can no longer hold.
-  const auto shed_inflight = [&](Active& a) {
-    release_kv(a);
-    a.lease.reset();
-    auto& outcome = metrics.outcomes[static_cast<std::size_t>(a.request.id)];
-    outcome.id = a.request.id;
-    outcome.ttft = a.first_token_time >= 0.0
-                       ? a.first_token_time - a.request.arrival_seconds
-                       : 0.0;
-    outcome.latency = clock - a.request.arrival_seconds;
-    outcome.tokens = a.generated;
-    outcome.attempts = a.attempt;
-    outcome.preemptions = a.preemptions;
-    outcome.completed = false;
-    outcome.met_deadline = false;
-    outcome.shed = true;
-    m_shed.add();
-    if (trace != nullptr) {
-      trace->complete("shed", "serve.overload", kServeTracePid,
-                      static_cast<int>(a.request.id) + 1, clock * 1e6, 0.0);
-    }
   };
 
   // Every path into the wait queue — fresh arrivals and deadline-abort
   // retries alike — goes through overload admission.
   const auto enqueue = [&](const Request* r, double submit, int attempt) {
     if (ladder && ladder->rung() == overload::LadderRung::kShed) {
-      shed_request(*r, attempt, false);
+      record_outcome(*r, attempt, nullptr, Fate::kShed);
       return;
     }
     if (admission_ctl == nullptr) {
@@ -728,7 +719,7 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
         kv_pool != nullptr ? kv_pool->available()
                            : std::numeric_limits<std::size_t>::max());
     if (!verdict.admit) {
-      shed_request(*r, attempt, true);
+      record_outcome(*r, attempt, nullptr, Fate::kRejected);
       return;
     }
     if (verdict.shed_queue_index >= 0) {
@@ -736,7 +727,7 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
       LMO_CHECK_LT(idx, queue.size());
       const Queued victim = queue[idx];
       queue.erase(queue.begin() + verdict.shed_queue_index);
-      shed_request(*victim.request, victim.attempt, false);
+      record_outcome(*victim.request, victim.attempt, nullptr, Fate::kShed);
     }
     queue.push_back(Queued{r, submit, attempt});
   };
@@ -748,61 +739,6 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
               requests[next_arrival].arrival_seconds, 1);
       ++next_arrival;
     }
-  };
-
-  // Swap `active[index]` out to host memory (private KV tail only; shared
-  // blocks just drop their pin). The freed pool bytes are what the caller
-  // was after.
-  const auto swap_out = [&](std::size_t index, bool for_overload) {
-    Active& victim = active[index];
-    const double cost =
-        kv_swap_seconds(spec, victim.kv_bits, victim.private_kv_tokens(),
-                        platform.d2h_bw()) /
-        bandwidth_factor(clock);
-    clock += cost;
-    swap_seconds += cost;
-    swap_bytes += static_cast<double>(victim.private_kv_tokens()) *
-                  static_cast<double>(kv_bytes_per_token(victim.kv_bits));
-    victim.lease.reset();
-    release_kv(victim);
-    ++victim.preemptions;
-    m_preempts.add();
-    if (for_overload) m_ovl_preempts.add();
-    if (trace != nullptr) {
-      trace->complete("swap_out", for_overload ? "serve.overload"
-                                               : "serve.preempt",
-                      kServeTracePid,
-                      static_cast<int>(victim.request.id) + 1,
-                      (clock - cost) * 1e6, cost * 1e6);
-    }
-    suspended.push_back(std::move(victim));
-    active.erase(active.begin() + static_cast<std::ptrdiff_t>(index));
-  };
-
-  // Lowest-priority preemptible in-flight session (ties: most remaining
-  // work, matching the wait-queue preemption heuristic); `exclude` guards
-  // against self-preemption. -1 when nobody qualifies.
-  const auto lowest_priority_victim =
-      [&](const Active* exclude) -> std::ptrdiff_t {
-    std::ptrdiff_t victim = -1;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const Active& a = active[i];
-      if (&a == exclude || !a.decoding() ||
-          a.preemptions >= config.max_preemptions_per_request) {
-        continue;
-      }
-      if (victim < 0) {
-        victim = static_cast<std::ptrdiff_t>(i);
-        continue;
-      }
-      const Active& v = active[static_cast<std::size_t>(victim)];
-      if (a.request.priority < v.request.priority ||
-          (a.request.priority == v.request.priority &&
-           a.remaining() > v.remaining())) {
-        victim = static_cast<std::ptrdiff_t>(i);
-      }
-    }
-    return victim;
   };
 
   // Rung >= shrink-cache: hold the prefix cache at a fraction of its
@@ -826,7 +762,9 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
     if (kv_pool->pressure() < overload::PressureLevel::kHigh) return;
     if (active.size() <= 1) return;
     const auto victim = lowest_priority_victim(nullptr);
-    if (victim >= 0) swap_out(static_cast<std::size_t>(victim), true);
+    if (victim >= 0) {
+      suspend(static_cast<std::size_t>(victim), Cause::kOverloadPreempt);
+    }
   };
 
   const auto record_transition = [&](const overload::LadderTransition& t) {
@@ -894,7 +832,7 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
           suspended.push_front(std::move(back));
           break;
         }
-        shed_inflight(back);
+        record_outcome(back.request, back.attempt, &back, Fate::kShed);
         continue;
       }
       if (kv_pool != nullptr) back.charged = kv_target_bytes(back);
@@ -912,54 +850,31 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
         const std::int64_t lost = back.shared - still_shared;
         if (lost > 0) {
           const double recompute =
-              chunk_prefill_seconds(spec, policy, platform, lost) /
+              prefill_seconds(spec, policy, platform, {lost}) /
               bandwidth_factor(clock);
           clock += recompute;
           m_prefill_tokens.add(static_cast<std::uint64_t>(lost));
         }
         back.shared = still_shared;
       }
-      const double cost =
-          kv_swap_seconds(spec, back.kv_bits, back.private_kv_tokens(),
-                          platform.h2d_bw()) /
-          bandwidth_factor(clock);
-      clock += cost;
-      swap_seconds += cost;
-      swap_bytes += static_cast<double>(back.private_kv_tokens()) *
-                    static_cast<double>(kv_bytes_per_token(back.kv_bits));
+      swap_kv(back, platform.h2d_bw(), "swap_in", "serve.preempt");
       m_resumes.add();
-      if (trace != nullptr) {
-        trace->complete("swap_in", "serve.preempt", kServeTracePid,
-                        static_cast<int>(back.request.id) + 1,
-                        (clock - cost) * 1e6, cost * 1e6);
-      }
       active.push_back(std::move(back));
     }
     return prefill_lens;
   };
 
-  // Swap out the decoding request with the most remaining work to unblock
-  // a queue head that has waited past the preemption threshold. The freed
-  // slot is taken by the waiter in the admit() that follows.
+  // Swap out the lowest-priority decoding request (ties: most remaining
+  // work) to unblock a queue head that has waited past the preemption
+  // threshold. The freed slot is taken by the waiter in the admit() that
+  // follows.
   const auto preempt_for_waiters = [&]() {
     while (!queue.empty() &&
            static_cast<std::int64_t>(active.size()) >= config.max_batch &&
            clock - queue.front().submit >= config.preempt_wait_seconds) {
-      std::ptrdiff_t victim = -1;
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        const Active& a = active[i];
-        if (!a.decoding() ||
-            a.preemptions >= config.max_preemptions_per_request) {
-          continue;
-        }
-        if (victim < 0 ||
-            a.remaining() >
-                active[static_cast<std::size_t>(victim)].remaining()) {
-          victim = static_cast<std::ptrdiff_t>(i);
-        }
-      }
+      const auto victim = lowest_priority_victim(nullptr);
       if (victim < 0) return;  // nobody left to preempt
-      swap_out(static_cast<std::size_t>(victim), false);
+      suspend(static_cast<std::size_t>(victim), Cause::kPreempt);
     }
   };
 
@@ -974,8 +889,7 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
       clock = requests[next_arrival].arrival_seconds;
       pull_arrivals(clock);
     }
-    process_corruptions();
-    process_crashes();
+    process_events();
 
     // Degradation ladder: one pressure observation per engine iteration;
     // rungs apply their remedies before admission sees the queue.
@@ -1028,8 +942,9 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
         if (a.decoding()) publish(a);
       }
       m_prefill_tokens.add(static_cast<std::uint64_t>(chunk_tokens));
-      prefill_cost =
-          chunk_prefill_seconds(spec, policy, platform, chunk_tokens);
+      if (chunk_tokens > 0) {
+        prefill_cost = prefill_seconds(spec, policy, platform, {chunk_tokens});
+      }
     }
 
     // One decode step for every fully-prefilled sequence.
@@ -1073,21 +988,7 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
       if (it->first_token_time < 0.0) it->first_token_time = clock;
       ++it->generated;
       if (it->generated >= it->request.gen_len) {
-        auto& outcome =
-            metrics.outcomes[static_cast<std::size_t>(it->request.id)];
-        outcome.id = it->request.id;
-        outcome.ttft = it->first_token_time - it->request.arrival_seconds;
-        outcome.latency = clock - it->request.arrival_seconds;
-        outcome.tokens = it->generated;
-        outcome.attempts = it->attempt;
-        outcome.preemptions = it->preemptions;
-        outcome.completed = true;
-        outcome.met_deadline = config.deadline_seconds <= 0.0 ||
-                               clock - it->submit <= config.deadline_seconds;
-        m_completed.add();
-        m_ttft.record(outcome.ttft);
-        m_latency.record(outcome.latency);
-        trace_outcome(outcome, it->request.arrival_seconds);
+        record_outcome(it->request, it->attempt, &*it, Fate::kCompleted);
         release_kv(*it);
         it = active.erase(it);
       } else {
@@ -1115,20 +1016,7 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
           it = active.erase(it);
           enqueue(original, clock, attempt);
         } else {
-          auto& outcome =
-              metrics.outcomes[static_cast<std::size_t>(it->request.id)];
-          outcome.id = it->request.id;
-          outcome.ttft = it->first_token_time >= 0.0
-                             ? it->first_token_time -
-                                   it->request.arrival_seconds
-                             : 0.0;
-          outcome.latency = clock - it->request.arrival_seconds;
-          outcome.tokens = it->generated;
-          outcome.attempts = it->attempt;
-          outcome.preemptions = it->preemptions;
-          outcome.completed = false;
-          outcome.met_deadline = false;
-          trace_outcome(outcome, it->request.arrival_seconds);
+          record_outcome(it->request, it->attempt, &*it, Fate::kFailed);
           it = active.erase(it);
         }
       }
@@ -1146,11 +1034,13 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
         }
         const auto victim = lowest_priority_victim(&active[i]);
         if (victim >= 0) {
-          swap_out(static_cast<std::size_t>(victim), true);
+          suspend(static_cast<std::size_t>(victim), Cause::kOverloadPreempt);
           if (static_cast<std::size_t>(victim) < i) --i;
           continue;  // retry the same session
         }
-        shed_inflight(active[i]);
+        release_kv(active[i]);
+        record_outcome(active[i].request, active[i].attempt, &active[i],
+                       Fate::kShed);
         active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
       }
     }
@@ -1234,7 +1124,7 @@ ServeMetrics simulate_serving(const model::ModelSpec& spec,
   metrics.verify_seconds = m_verify_seconds.value();
   metrics.crashes = m_crashes.value();
   metrics.crash_recovery_seconds = m_crash_recovery.value();
-  metrics.crash_rollback_tokens = m_crash_rollback.value();
+  metrics.crash_rolled_back_tokens = m_crash_rolled_back.value();
   if (m_ttft.count() > 0) {
     metrics.ttft_p50 = m_ttft.percentile(0.5);
     metrics.ttft_p95 = m_ttft.percentile(0.95);

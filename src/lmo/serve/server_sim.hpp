@@ -44,27 +44,30 @@ struct FaultWindow {
   double bandwidth_factor = 1.0;  ///< fraction of nominal speed, in (0, 1]
 };
 
-/// An injected silent-corruption event: when the engine clock passes
-/// `at_seconds`, the in-flight (or suspended) request `request_id` has an
-/// offloaded KV region rot. With verification on the engine detects it and
-/// runs checkpoint-rollback re-admission (see ServeConfig::integrity);
-/// with verification off the event is counted as undetected — the
-/// accounting analogue of silent token divergence. Events naming a
-/// request that already finished (or never started) are inert.
-struct CorruptionEvent {
-  double at_seconds = 0.0;
-  std::int64_t request_id = -1;
+/// What a scheduled ServeEvent does to the engine.
+enum class ServeEventKind {
+  /// Request `request_id`'s offloaded KV rots. Verification detects it and
+  /// rolls the session back (see ServeConfig::integrity); under verify=off
+  /// it counts as undetected, the analogue of silent token divergence.
+  kCorruption,
+  /// The engine dies (the serving analogue of the lmo/recover kill -9
+  /// drills), stalls recover_spill_bytes / recover_disk_gbps replaying the
+  /// spill store and restoring checkpoints, and rolls every in-flight
+  /// session back.
+  kCrash,
 };
 
-/// An injected engine crash (the serving analogue of the kill -9 drills in
-/// lmo/recover): when the clock passes `at_seconds` the whole engine dies
-/// and restarts from its last durable state. Every in-flight request rolls
-/// back to its last ckpt_interval_tokens boundary, drops its device KV,
-/// and re-enters through the swap-in path after the recovery stall —
-/// spill-store replay plus checkpoint restore, charged at
-/// recover_disk_gbps over recover_spill_bytes.
-struct CrashEvent {
+/// A scheduled engine event. It fires at the first step boundary at or
+/// after `at_seconds`; events due at one boundary fire in `at_seconds`
+/// order, ties in list order. A rolled-back session drops its device KV,
+/// keeps floor(generated / ckpt_interval_tokens) * ckpt_interval_tokens
+/// tokens and re-enters through the swap-in path. A corruption event
+/// naming a request that is neither in the batch nor suspended (queued,
+/// finished or unknown) is inert under every verify policy.
+struct ServeEvent {
   double at_seconds = 0.0;
+  ServeEventKind kind = ServeEventKind::kCorruption;
+  std::int64_t request_id = -1;  ///< kCorruption only
 };
 
 /// Overload protection for the serving engine: a modelled KV memory pool
@@ -114,11 +117,12 @@ struct ServeConfig {
 
   /// Swap-based preemption (continuous batching only). With the engine
   /// full and the head of the queue waiting longer than
-  /// preempt_wait_seconds, the decoding request with the most remaining
-  /// work is swapped out: its KV cache is checkpointed to host memory at
-  /// device→host bandwidth cost, the slot goes to the waiter, and the
-  /// victim is re-admitted later (KV restored at host→device cost),
-  /// resuming exactly where it stopped — never aborted, never recomputed.
+  /// preempt_wait_seconds, the lowest-priority decoding request (ties: the
+  /// most remaining work) is swapped out: its KV cache is checkpointed to
+  /// host memory at device→host bandwidth cost, the slot goes to the
+  /// waiter, and the victim is re-admitted later (KV restored at
+  /// host→device cost), resuming exactly where it stopped — never aborted,
+  /// never recomputed.
   bool preempt = false;
   double preempt_wait_seconds = 0.0;
   /// Swap-out ceiling per request, bounding ping-pong thrash.
@@ -167,14 +171,14 @@ struct ServeConfig {
   /// swap-in path — restoring checkpointed KV at link cost — then re-
   /// decodes the lost tail. integrity.* counters account every event.
   integrity::IntegrityConfig integrity;
-  std::vector<CorruptionEvent> corruptions;
-  /// Checkpoint cadence the rollback rounds down to, in generated tokens.
+  /// Scheduled corruption and crash events (see ServeEvent).
+  std::vector<ServeEvent> events;
+  /// Checkpoint cadence every rollback rounds down to, in generated tokens.
   std::int64_t ckpt_interval_tokens = 32;
 
-  /// Engine crash/recovery events (see CrashEvent). The recovery stall
-  /// models WAL replay + checkpoint restore of `recover_spill_bytes` at
-  /// `recover_disk_gbps` (GB/s, > 0 when crashes are scheduled).
-  std::vector<CrashEvent> crashes;
+  /// Crash recovery stall: WAL replay + checkpoint restore of
+  /// `recover_spill_bytes` at `recover_disk_gbps` (GB/s, > 0 when a crash
+  /// is scheduled).
   double recover_disk_gbps = 1.0;
   std::size_t recover_spill_bytes = 0;
 
@@ -219,7 +223,10 @@ struct ServeMetrics {
   std::size_t deadline_misses = 0;  ///< aborted attempts
   std::size_t retries = 0;          ///< re-admissions after aborts
   std::size_t preemptions = 0;      ///< swap-outs across all requests
-  std::size_t preempt_resumes = 0;  ///< swap-ins (== preemptions at drain)
+  /// Swap-ins: re-entries from the suspended queue after a preemption, a
+  /// corruption rollback or a crash. A session shed at re-admission never
+  /// resumes.
+  std::size_t preempt_resumes = 0;
   double preempt_swap_seconds = 0.0;  ///< engine time spent swapping KV
   /// Prompt tokens actually pushed through prefill (drops on prefix hits).
   std::uint64_t prefill_tokens = 0;
@@ -242,10 +249,10 @@ struct ServeMetrics {
   std::size_t corruption_undetected = 0;  ///< events missed (verify off)
   std::uint64_t rollback_tokens = 0;  ///< re-decoded after ckpt rollback
   double verify_seconds = 0.0;        ///< engine time spent checksumming
-  /// serve.crash.* reads (0 unless config.crashes).
+  /// serve.crash.* reads (0 unless a crash event fired).
   std::size_t crashes = 0;                 ///< engine crash/recover cycles
   double crash_recovery_seconds = 0.0;     ///< stall paid replaying/restoring
-  std::uint64_t crash_rollback_tokens = 0; ///< re-decoded after crashes
+  std::uint64_t crash_rolled_back_tokens = 0;  ///< re-decoded after crashes
   std::vector<RequestOutcome> outcomes;  ///< per request, by id order
 };
 

@@ -364,10 +364,9 @@ int cmd_serve(const Args& args) {
     const auto colon = item.find(':');
     LMO_CHECK_MSG(colon != std::string::npos,
                   "--corrupt wants T:ID[,T:ID...], got: " + item);
-    serve::CorruptionEvent event;
-    event.at_seconds = std::stod(item.substr(0, colon));
-    event.request_id = std::stoll(item.substr(colon + 1));
-    config.corruptions.push_back(event);
+    config.events.push_back({std::stod(item.substr(0, colon)),
+                             serve::ServeEventKind::kCorruption,
+                             std::stoll(item.substr(colon + 1))});
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -419,7 +418,7 @@ int cmd_serve(const Args& args) {
                 m.request_goodput);
   }
 
-  if (config.integrity.enabled() || !config.corruptions.empty()) {
+  if (config.integrity.enabled() || !config.events.empty()) {
     std::printf("integrity (verify=%s): %zu corruption(s) detected, %zu "
                 "undetected | %llu tokens re-decoded after rollback | "
                 "%.2f s verifying\n",

@@ -609,14 +609,12 @@ TEST(ServeIntegrity, CorruptionRollsBackUnderVerifyAndCountsUnderOff) {
   auto config = sim_config();
   config.integrity.policy = integrity::VerifyPolicy::kAlways;
   config.ckpt_interval_tokens = 16;
-  serve::CorruptionEvent event;
-  event.request_id = 1;
-  config.corruptions.push_back(event);
+  config.events.push_back({0.0, serve::ServeEventKind::kCorruption, 1});
 
   // Place the event mid-decode: run once to learn request 1's TTFT.
   const auto probe = serve::simulate_serving(spec, sim_policy(), platform,
                                              requests, sim_config());
-  config.corruptions[0].at_seconds = probe.outcomes[1].ttft + 1.0;
+  config.events[0].at_seconds = probe.outcomes[1].ttft + 1.0;
 
   telemetry::MetricsRegistry registry;
   const auto m = serve::simulate_serving(spec, sim_policy(), platform,
@@ -632,7 +630,7 @@ TEST(ServeIntegrity, CorruptionRollsBackUnderVerifyAndCountsUnderOff) {
 
   // Same event under verify=off: nobody notices, nothing rolls back.
   auto off = sim_config();
-  off.corruptions = config.corruptions;
+  off.events = config.events;
   const auto m_off = serve::simulate_serving(spec, sim_policy(), platform,
                                              requests, off);
   EXPECT_EQ(m_off.corruption_detected, 0u);
@@ -642,12 +640,46 @@ TEST(ServeIntegrity, CorruptionRollsBackUnderVerifyAndCountsUnderOff) {
   // Events naming finished (or never-started) requests are inert.
   auto inert = sim_config();
   inert.integrity.policy = integrity::VerifyPolicy::kAlways;
-  inert.corruptions.push_back({1e9, 2});
-  inert.corruptions.push_back({0.0, 999});
+  inert.events.push_back({1e9, serve::ServeEventKind::kCorruption, 2});
+  inert.events.push_back({0.0, serve::ServeEventKind::kCorruption, 999});
   const auto m_inert = serve::simulate_serving(spec, sim_policy(), platform,
                                                requests, inert);
   EXPECT_EQ(m_inert.corruption_detected, 0u);
   EXPECT_EQ(m_inert.completed, requests.size());
+}
+
+TEST(ServeIntegrity, EventsForRequestsNotInFlightAreInertUnderEveryPolicy) {
+  // A corruption event naming a request that holds no KV at that moment
+  // (unknown, not yet arrived, queued or finished) counts nowhere and
+  // changes nothing, whichever verify policy is in force.
+  const auto spec = model::ModelSpec::opt_13b();
+  const auto platform = hw::Platform::a100_single();
+  const auto requests = fixed_requests(6);  // 4 slots: requests 4, 5 queue
+  for (const auto policy :
+       {integrity::VerifyPolicy::kOff, integrity::VerifyPolicy::kSample,
+        integrity::VerifyPolicy::kAlways}) {
+    auto config = sim_config();
+    config.integrity.policy = policy;
+    const auto clean = serve::simulate_serving(spec, sim_policy(), platform,
+                                               requests, config);
+    const double request0_done =
+        requests[0].arrival_seconds + clean.outcomes[0].latency;
+    ASSERT_LT(request0_done, clean.duration);
+    config.events = {
+        {0.0, serve::ServeEventKind::kCorruption, 999},  // unknown id
+        {0.0, serve::ServeEventKind::kCorruption, 3},    // not yet arrived
+        {2.0, serve::ServeEventKind::kCorruption, 5},    // queued
+        {request0_done, serve::ServeEventKind::kCorruption, 0},  // finished
+    };
+    const auto m = serve::simulate_serving(spec, sim_policy(), platform,
+                                           requests, config);
+    SCOPED_TRACE(integrity::to_string(policy));
+    EXPECT_EQ(m.corruption_detected, 0u);
+    EXPECT_EQ(m.corruption_undetected, 0u);
+    EXPECT_EQ(m.rollback_tokens, 0u);
+    EXPECT_EQ(m.duration, clean.duration);  // bit-for-bit
+    EXPECT_EQ(m.completed, requests.size());
+  }
 }
 
 TEST(ServeIntegrity, ConfigValidation) {
@@ -656,11 +688,11 @@ TEST(ServeIntegrity, ConfigValidation) {
   EXPECT_THROW(config.validate(), util::ConfigError);
 
   config = sim_config();
-  config.corruptions.push_back({-1.0, 0});
+  config.events.push_back({-1.0, serve::ServeEventKind::kCorruption, 0});
   EXPECT_THROW(config.validate(), util::ConfigError);
 
   config = sim_config();
-  config.corruptions.push_back({1.0, -2});
+  config.events.push_back({1.0, serve::ServeEventKind::kCorruption, -2});
   EXPECT_THROW(config.validate(), util::ConfigError);
 
   config = sim_config();

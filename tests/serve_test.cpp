@@ -246,9 +246,9 @@ TEST(ServeSim, ValidatesRobustnessConfig) {
   EXPECT_NO_THROW(config.validate());
 
   config = ServeConfig{};
-  config.crashes.push_back(CrashEvent{-1.0});  // negative crash time
+  config.events.push_back({-1.0, ServeEventKind::kCrash});  // negative time
   EXPECT_THROW(config.validate(), CheckError);
-  config.crashes = {CrashEvent{5.0}};
+  config.events = {{5.0, ServeEventKind::kCrash}};
   config.recover_disk_gbps = 0.0;  // scheduled crash needs a replay rate
   EXPECT_THROW(config.validate(), CheckError);
   config.recover_disk_gbps = 2.0;
@@ -270,25 +270,27 @@ TEST(ServeSim, CrashRollsBackAndChargesRecoveryStall) {
 
   ServeConfig config = clean;
   config.ckpt_interval_tokens = 16;
-  config.crashes = {CrashEvent{m_clean.duration * 0.5}};
+  config.events = {{m_clean.duration * 0.5, ServeEventKind::kCrash}};
   config.recover_disk_gbps = 2.0;
   config.recover_spill_bytes = 8'000'000'000;  // 8 GB at 2 GB/s -> 4 s stall
   const auto metrics = simulate_serving(spec, serving_policy(), platform,
                                         requests, config);
   EXPECT_EQ(metrics.crashes, 1u);
   EXPECT_DOUBLE_EQ(metrics.crash_recovery_seconds, 4.0);
-  EXPECT_GT(metrics.crash_rollback_tokens, 0u);
+  EXPECT_GT(metrics.crash_rolled_back_tokens, 0u);
   EXPECT_EQ(metrics.completed, 30u);
   // Re-decoding plus the stall can only lengthen the run.
   EXPECT_GT(metrics.duration, m_clean.duration);
 
-  // A crash after the run drains touches nothing but the counter.
+  // A crash scheduled after the run drains never fires: the loop exits
+  // first, so not even the crash counter moves.
   ServeConfig late = clean;
-  late.crashes = {CrashEvent{m_clean.duration + 100.0}};
+  late.events = {{m_clean.duration + 100.0, ServeEventKind::kCrash}};
   late.recover_spill_bytes = 1 << 20;
   const auto m_late = simulate_serving(spec, serving_policy(), platform,
                                        requests, late);
-  EXPECT_EQ(m_late.crash_rollback_tokens, 0u);
+  EXPECT_EQ(m_late.crashes, 0u);
+  EXPECT_EQ(m_late.crash_rolled_back_tokens, 0u);
   EXPECT_EQ(m_late.completed, 30u);
 }
 
@@ -298,7 +300,8 @@ TEST(ServeSim, CrashMetricsFlowThroughRegistry) {
   ServeConfig config;
   config.max_batch = 8;
   config.batching = Batching::kContinuous;
-  config.crashes = {CrashEvent{2.0}, CrashEvent{4.0}};
+  config.events = {{2.0, ServeEventKind::kCrash},
+                   {4.0, ServeEventKind::kCrash}};
   config.recover_disk_gbps = 1.0;
   config.recover_spill_bytes = 1'000'000'000;  // 1 s per recovery
   telemetry::MetricsRegistry registry;
@@ -312,7 +315,7 @@ TEST(ServeSim, CrashMetricsFlowThroughRegistry) {
   const auto snap = registry.snapshot();
   EXPECT_EQ(snap.counter("serve.crash.total"), metrics.crashes);
   EXPECT_EQ(snap.counter("serve.crash.rollback.tokens"),
-            metrics.crash_rollback_tokens);
+            metrics.crash_rolled_back_tokens);
   EXPECT_DOUBLE_EQ(snap.gauge("serve.crash.recovery_seconds"),
                    metrics.crash_recovery_seconds);
   EXPECT_EQ(metrics.crashes, 2u);
@@ -618,6 +621,57 @@ TEST(ServeSim, PreemptionIsDeterministicAndOffWhenDisabled) {
   for (const auto& outcome : without.outcomes) {
     EXPECT_EQ(outcome.preemptions, 0);
   }
+}
+
+TEST(ServeSim, ResumesCountEveryReentryNotOnlyPreemptions) {
+  // serve.preempt.resumes counts swap-ins from the suspended queue, and a
+  // corruption rollback re-enters through the same swap-in as a preemption
+  // victim without being a preemption itself.
+  const auto spec = model::ModelSpec::opt_13b();
+  const auto requests = generate_requests(quick_profile(), 30, 5);
+  ServeConfig config;
+  config.max_batch = 8;
+  config.integrity.policy = integrity::VerifyPolicy::kAlways;
+  const auto probe =
+      simulate_serving(spec, serving_policy(), hw::Platform::a100_single(),
+                       requests, config);
+  // Request 0 is decoding once its first token is out.
+  const double decoding = requests[0].arrival_seconds + probe.outcomes[0].ttft;
+  config.events.push_back({decoding, ServeEventKind::kCorruption, 0});
+  const auto metrics =
+      simulate_serving(spec, serving_policy(), hw::Platform::a100_single(),
+                       requests, config);
+  EXPECT_EQ(metrics.corruption_detected, 1u);
+  EXPECT_EQ(metrics.preemptions, 0u);
+  EXPECT_EQ(metrics.preempt_resumes, 1u);
+  EXPECT_EQ(metrics.outcomes[0].preemptions, 0);
+  EXPECT_EQ(metrics.completed, 30u);
+}
+
+TEST(ServeSim, PreemptionSwapsOutTheLowestPriorityFirst) {
+  // Wait-based preemption and the overload ladder share one victim rule:
+  // lowest priority first, then the most remaining work. Request 1 has
+  // more work left, but request 0 is less important.
+  const auto spec = model::ModelSpec::opt_13b();
+  std::vector<Request> requests;
+  for (std::int64_t i = 0; i < 3; ++i) {
+    Request r;
+    r.id = i;
+    r.arrival_seconds = 0.1 * static_cast<double>(i);
+    r.prompt_len = 16;
+    r.gen_len = 32;
+    requests.push_back(r);
+  }
+  requests[1].gen_len = 64;
+  requests[1].priority = 1;
+  ServeConfig config = preempting_config();
+  config.max_preemptions_per_request = 1;  // the first choice is final
+  const auto metrics =
+      simulate_serving(spec, serving_policy(), hw::Platform::a100_single(),
+                       requests, config);
+  EXPECT_EQ(metrics.outcomes[0].preemptions, 1);
+  EXPECT_EQ(metrics.outcomes[1].preemptions, 0);
+  EXPECT_EQ(metrics.completed, 3u);
 }
 
 TEST(ServeSim, PreemptionMetricsFlowThroughRegistry) {
