@@ -1,15 +1,10 @@
 #include "lmo/ckpt/format.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "lmo/ckpt/binary_io.hpp"
 #include "lmo/util/check.hpp"
+#include "lmo/util/durable.hpp"
 #include "lmo/util/fault.hpp"
 #include "lmo/util/status.hpp"
 
@@ -18,25 +13,6 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8;
 constexpr std::size_t kTrailerBytes = 4;
-
-}  // namespace
-
-namespace {
-
-void write_all(int fd, const std::vector<std::byte>& chunk,
-               const std::string& path) {
-  std::size_t done = 0;
-  while (done < chunk.size()) {
-    const ssize_t n = ::write(fd, chunk.data() + done, chunk.size() - done);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);
-      LMO_CHECK_MSG(false, "write failed for checkpoint: " + path + ": " +
-                               std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(n);
-  }
-}
 
 }  // namespace
 
@@ -56,30 +32,10 @@ void write_checkpoint_file(const std::string& path, PayloadKind kind,
   // published checkpoint untouched.
   injector.maybe_crash(kPublishSite);
 
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  LMO_CHECK_MSG(fd >= 0, "cannot open checkpoint for writing: " + tmp +
-                             ": " + std::strerror(errno));
-  write_all(fd, header.buffer(), tmp);
-  write_all(fd, payload, tmp);
-  write_all(fd, trailer.buffer(), tmp);
-  int rc;
-  do {
-    rc = ::fsync(fd);
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    ::close(fd);
-    LMO_CHECK_MSG(false, "fsync failed for checkpoint: " + tmp + ": " +
-                             std::strerror(errno));
-  }
-  LMO_CHECK_MSG(::close(fd) == 0, "close failed for checkpoint: " + tmp +
-                                      ": " + std::strerror(errno));
-  // Crash with a complete, durable temp file but before the rename: the
+  // A crash with a complete, durable temp file but before the rename: the
   // previous checkpoint still rules; the orphan .tmp is inert garbage.
-  injector.maybe_crash(kPublishSite);
-  LMO_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                "rename failed publishing checkpoint: " + tmp + " -> " +
-                    path + ": " + std::strerror(errno));
+  util::publish_file(path, {header.buffer(), payload, trailer.buffer()},
+                     [&injector] { injector.maybe_crash(kPublishSite); });
 }
 
 std::vector<std::byte> read_checkpoint_file(const std::string& path,

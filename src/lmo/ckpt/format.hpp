@@ -48,9 +48,10 @@ enum class PayloadKind : std::uint32_t {
 inline constexpr const char* kPublishSite = "ckpt.publish";
 
 /// Atomically write `payload` under the envelope: the bytes land in
-/// `path`.tmp, are fsynced, and only then renamed over `path` — a crash at
-/// any instruction leaves either the previous checkpoint or the new one,
-/// never a torn file. Throws CheckError on I/O failure.
+/// `path`.tmp, are fsynced, and only then renamed over `path`, and the
+/// directory is fsynced after the rename (util::publish_file) — a crash
+/// or power loss at any instruction leaves either the previous checkpoint
+/// or the new one, never a torn file. Throws CheckError on I/O failure.
 void write_checkpoint_file(const std::string& path, PayloadKind kind,
                            const std::vector<std::byte>& payload);
 

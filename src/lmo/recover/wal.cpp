@@ -15,6 +15,7 @@
 #include "lmo/telemetry/metrics.hpp"
 #include "lmo/telemetry/trace.hpp"
 #include "lmo/util/check.hpp"
+#include "lmo/util/durable.hpp"
 #include "lmo/util/fault.hpp"
 
 namespace lmo::recover {
@@ -30,27 +31,6 @@ enum RecordType : std::uint8_t {
 
 constexpr std::size_t kFileHeaderBytes = 8 + 4;
 constexpr std::size_t kFrameBytes = 4 + 4;  // body_len + body_crc
-
-void write_all_fd(int fd, const std::vector<std::byte>& chunk,
-                  const std::string& path) {
-  std::size_t done = 0;
-  while (done < chunk.size()) {
-    const ssize_t n = ::write(fd, chunk.data() + done, chunk.size() - done);
-    if (n < 0 && errno == EINTR) continue;
-    LMO_CHECK_MSG(n > 0, "WalManifest: write(" + path + ") failed: " +
-                             std::strerror(errno));
-    done += static_cast<std::size_t>(n);
-  }
-}
-
-void fsync_fd(int fd, const std::string& path) {
-  int rc;
-  do {
-    rc = ::fsync(fd);
-  } while (rc != 0 && errno == EINTR);
-  LMO_CHECK_MSG(rc == 0, "WalManifest: fsync(" + path + ") failed: " +
-                             std::strerror(errno));
-}
 
 std::vector<std::byte> file_header() {
   ckpt::ByteWriter header;
@@ -87,8 +67,8 @@ WalManifest::WalManifest(const std::string& path, OpenMode mode)
                   "WalManifest: ftruncate(" + path + ") failed");
     LMO_CHECK_MSG(::lseek(fd_, 0, SEEK_SET) == 0,
                   "WalManifest: lseek(" + path + ") failed");
-    write_all_fd(fd_, file_header(), path_);
-    fsync_fd(fd_, path_);
+    util::write_all(fd_, file_header(), path_);
+    util::fsync_fd(fd_, path_);
   }
 }
 
@@ -102,13 +82,13 @@ void WalManifest::append_locked(const std::vector<std::byte>& body,
   // Crash with the record half-written (the kernel may persist any prefix):
   // replay must stop at the torn frame and truncate it away.
   injector.maybe_crash(kJournalAppendSite);
-  write_all_fd(fd_, frame(body), path_);
+  util::write_all(fd_, frame(body), path_);
   if (sync) {
     // Crash after the record reached the page cache but before the fsync
     // barrier: the record may or may not survive — both outcomes must
     // recover (the commit protocol never acks before the barrier returns).
     injector.maybe_crash(kJournalFsyncSite);
-    fsync_fd(fd_, path_);
+    util::fsync_fd(fd_, path_);
   }
 }
 
@@ -164,7 +144,7 @@ void WalManifest::barrier() {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& injector = util::FaultInjector::instance();
   injector.maybe_crash(kJournalFsyncSite);
-  fsync_fd(fd_, path_);
+  util::fsync_fd(fd_, path_);
 }
 
 WalReplayResult replay_wal(const std::string& path,
@@ -326,23 +306,23 @@ void compact_wal(const std::string& path,
                  const store::RecoveredState& state, std::uint64_t epoch) {
   telemetry::ScopedSpan span(telemetry::TraceRecorder::global(),
                              "recover.compact", "recover");
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  LMO_CHECK_MSG(fd >= 0, "compact_wal: cannot open " + tmp + ": " +
-                             std::strerror(errno));
-  write_all_fd(fd, file_header(), tmp);
+  std::vector<std::byte> journal = file_header();
+  const auto append = [&journal](const std::vector<std::byte>& body) {
+    const auto framed = frame(body);
+    journal.insert(journal.end(), framed.begin(), framed.end());
+  };
   for (const auto& [key, handle] : state.entries) {
     ckpt::ByteWriter alloc;
     alloc.u8(kAlloc);
     alloc.u32(static_cast<std::uint32_t>(handle.blocks.size()));
     for (std::uint32_t b : handle.blocks) alloc.u32(b);
-    write_all_fd(fd, frame(alloc.buffer()), tmp);
+    append(alloc.buffer());
     for (std::uint32_t b : handle.blocks) {
       ckpt::ByteWriter write_rec;
       write_rec.u8(kWrite);
       write_rec.u32(b);
       write_rec.u32(b < state.block_crc.size() ? state.block_crc[b] : 0);
-      write_all_fd(fd, frame(write_rec.buffer()), tmp);
+      append(write_rec.buffer());
     }
     ckpt::ByteWriter commit;
     commit.u8(kCommit);
@@ -351,19 +331,15 @@ void compact_wal(const std::string& path,
     commit.u32(handle.crc);
     commit.u32(static_cast<std::uint32_t>(handle.blocks.size()));
     for (std::uint32_t b : handle.blocks) commit.u32(b);
-    write_all_fd(fd, frame(commit.buffer()), tmp);
+    append(commit.buffer());
   }
   ckpt::ByteWriter epoch_rec;
   epoch_rec.u8(kEpoch);
   epoch_rec.u64(epoch);
-  write_all_fd(fd, frame(epoch_rec.buffer()), tmp);
-  fsync_fd(fd, tmp);
-  LMO_CHECK_MSG(::close(fd) == 0, "compact_wal: close(" + tmp + ") failed");
-  // Atomic publish: a crash here leaves either journal, both of which
-  // replay to the same state.
-  LMO_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                "compact_wal: rename " + tmp + " -> " + path + " failed: " +
-                    std::strerror(errno));
+  append(epoch_rec.buffer());
+  // Atomic publish: a crash leaves either journal, both of which replay to
+  // the same state.
+  util::publish_file(path, {journal});
 }
 
 }  // namespace lmo::recover

@@ -97,8 +97,9 @@ WalReplayResult replay_wal(const std::string& path,
 
 /// Rewrite the journal to its minimal equivalent — one alloc/write/commit
 /// group per live entry plus the epoch record — via temp file + fsync +
-/// rename. Run after replay (before reopening the manifest for append) so
-/// orphan records from the dead process do not accrete across crashes.
+/// rename + directory fsync (util::publish_file). Run after replay (before
+/// reopening the manifest for append) so orphan records from the dead
+/// process do not accrete across crashes.
 void compact_wal(const std::string& path, const store::RecoveredState& state,
                  std::uint64_t epoch);
 

@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "lmo/util/check.hpp"
+#include "lmo/util/durable.hpp"
 #include "lmo/util/status.hpp"
 
 namespace lmo::store {
@@ -107,14 +108,7 @@ void FileBackend::read_block(std::uint64_t index, std::span<std::byte> out) {
   }
 }
 
-void FileBackend::sync() {
-  int rc;
-  do {
-    rc = ::fsync(fd_);
-  } while (rc != 0 && errno == EINTR);
-  LMO_CHECK_MSG(rc == 0, "FileBackend: fsync(" + path_ + ") failed: " +
-                             std::strerror(errno));
-}
+void FileBackend::sync() { util::fsync_fd(fd_, path_); }
 
 std::string FileBackend::describe() const { return "file:" + path_; }
 

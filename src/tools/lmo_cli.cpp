@@ -5,34 +5,32 @@
 //   lmo sweep    --model opt-30b                 (all Table-3 lengths)
 //   lmo trace    --model opt-30b --len 8 --out trace.json
 //   lmo trace    --runtime 1 --out trace.json    (measured Generator spans)
-//   lmo chaos    --profile flaky-pcie            (generation under faults)
-//   lmo chaos    --profile kill-resume           (crash-recovery determinism)
-//   lmo chaos    --profile bitflip               (silent-corruption repair)
-//   lmo chaos    --profile diskfault             (disk-tier read-fault drill)
-//   lmo chaos    --profile crash                 (fork/SIGKILL recovery drill)
+//   lmo serve    --rate 2 --requests 100         (online-serving simulation)
+//   lmo chaos    --profile NAME                  (one drill of lmo/chaos)
 //   lmo checkpoint --out gen.ckpt                (snapshot mid-generation)
 //   lmo checkpoint --verify gen.ckpt             (validate without restoring)
 //   lmo resume     --from gen.ckpt               (finish from the snapshot)
 //   lmo recover    --dir crash_dir               (restore a supervised run)
 //   lmo models                                    (list presets)
 //
-// trace/serve/chaos accept --metrics-out FILE to export the run's telemetry
-// registry as JSON; serve also accepts --trace-out FILE for request
-// lifecycle spans. See docs/observability.md.
+// Each verb lists the options it reads (verbs()); any other option, or a
+// trailing option without a value, exits 2 before anything runs. Run with
+// no arguments for the option lists and the chaos profiles.
+//
+// trace/serve/chaos/resume/recover accept --metrics-out FILE to export the
+// run's telemetry registry as JSON; serve also accepts --trace-out FILE for
+// request lifecycle spans. See docs/observability.md.
 //
 // --platform takes either a preset name (a100-single, v100-quad) or a path
 // to a key=value platform config (see lmo/hw/platform_config.hpp).
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "lmo/chaos/drill.hpp"
 #include "lmo/ckpt/format.hpp"
 #include "lmo/core/decisions.hpp"
 #include "lmo/core/lm_offload.hpp"
@@ -41,7 +39,6 @@
 #include "lmo/integrity/integrity.hpp"
 #include "lmo/parallel/adaptive_controller.hpp"
 #include "lmo/recover/recovery_manager.hpp"
-#include "lmo/recover/wal.hpp"
 #include "lmo/runtime/checkpoint.hpp"
 #include "lmo/runtime/generator.hpp"
 #include "lmo/sched/flexgen.hpp"
@@ -50,11 +47,9 @@
 #include "lmo/serve/server_sim.hpp"
 #include "lmo/serve/workload_gen.hpp"
 #include "lmo/sim/trace_export.hpp"
-#include "lmo/store/block_store.hpp"
 #include "lmo/telemetry/metrics.hpp"
 #include "lmo/telemetry/trace.hpp"
 #include "lmo/util/check.hpp"
-#include "lmo/util/fault.hpp"
 #include "lmo/util/status.hpp"
 #include "lmo/util/csv.hpp"
 #include "lmo/util/table.hpp"
@@ -65,7 +60,6 @@ namespace {
 using namespace lmo;
 
 struct Args {
-  std::string command;
   std::map<std::string, std::string> options;
 
   std::string get(const std::string& key, const std::string& fallback) const {
@@ -77,17 +71,6 @@ struct Args {
     return it == options.end() ? fallback : std::stoll(it->second);
   }
 };
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    LMO_CHECK_MSG(key.rfind("--", 0) == 0, "expected --option, got: " + key);
-    args.options[key.substr(2)] = argv[i + 1];
-  }
-  return args;
-}
 
 hw::Platform load_platform(const Args& args) {
   const std::string spec = args.get("platform", "a100-single");
@@ -113,7 +96,26 @@ model::Workload load_workload(const Args& args) {
   return w;
 }
 
-int cmd_models() {
+/// --metrics-out FILE: save the registry's snapshot there and say so.
+void save_metrics(const Args& args, const telemetry::MetricsRegistry& registry,
+                  const char* run) {
+  const std::string path = args.get("metrics-out", "");
+  if (path.empty()) return;
+  registry.snapshot().save(path);
+  std::printf("wrote %s metrics to %s\n", run, path.c_str());
+}
+
+void print_tokens(const chaos::Tokens& tokens) {
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    std::printf("sequence %zu tokens:", i);
+    for (std::int64_t tok : tokens[i]) {
+      std::printf(" %lld", static_cast<long long>(tok));
+    }
+    std::printf("\n");
+  }
+}
+
+int cmd_models(const Args&) {
   util::Table table({"model", "layers", "hidden", "mlp", "heads", "params",
                      "fp16 weights"});
   for (const auto& name : model::ModelSpec::known_names()) {
@@ -446,11 +448,7 @@ int cmd_serve(const Args& args) {
                 registry.gauge("parallel.adaptive.step_factor").value());
   }
 
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    registry.snapshot().save(metrics_out);
-    std::printf("wrote serve metrics to %s\n", metrics_out.c_str());
-  }
+  save_metrics(args, registry, "serve");
   if (!trace_out.empty()) {
     trace_recorder.save(trace_out);
     std::printf("wrote request-lifecycle trace to %s\n", trace_out.c_str());
@@ -458,630 +456,11 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
-/// The tiny streamed-weights runtime setup shared by the generation-level
-/// verbs (chaos, checkpoint, resume): every layer offloaded so transfer
-/// fault sites are actually exercised, 8-bit weights to keep it quick.
-runtime::RuntimeConfig tiny_runtime_config(const Args& args) {
-  runtime::RuntimeConfig config;
-  config.spec = model::ModelSpec::tiny(4, 64, 4, 128);
-  config.weight_bits = 8;
-  config.quant_group = 32;
-  config.device_layers = 0;
-  config.prefetch_threads = 0;
-  config.recovery.retry_backoff_seconds = 1e-5;
-  config.window_tokens = args.get_int("window", 0);
-  return config;
-}
-
 /// "full" or "window-N": which KV rows a configuration keeps.
 std::string kv_label(const runtime::RuntimeConfig& config) {
   return config.window_tokens > 0
              ? "window-" + std::to_string(config.window_tokens)
              : std::string("full");
-}
-
-/// `lmo chaos --profile kill-resume`: the crash-recovery determinism drill.
-/// Reference run generates end-to-end under transient transfer faults; the
-/// second run is killed mid-decode (snapshot, then the Generator and the
-/// fault injector are destroyed), and a fresh process-equivalent resumes
-/// from the checkpoint file. Byte-identical tokens prove the checkpoint
-/// captures everything: KV state, RNG, and the per-site fault-stream
-/// positions.
-int cmd_chaos_kill_resume(const Args& args) {
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
-  const std::int64_t gen_len = args.get_int("len", 12);
-  const std::string path = args.get("out", "lmo_kill_resume.ckpt");
-  const auto config = tiny_runtime_config(args);
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
-
-  util::FaultSpec spec;
-  spec.fail_probability = std::stod(args.get("rate", "0.05"));
-  constexpr const char* kFetchSite = "offload.fetch.transfer";
-  constexpr const char* kPrefetchSite = "offload.prefetch.transfer";
-
-  // Reference: one uninterrupted generation under chaos.
-  std::vector<std::vector<std::int64_t>> reference;
-  {
-    util::ScopedFaultInjection chaos(seed);
-    chaos.arm(kFetchSite, spec);
-    chaos.arm(kPrefetchSite, spec);
-    runtime::Generator gen(config);
-    reference = gen.generate(prompts, gen_len).tokens;
-  }
-
-  // "Crash": same chaos schedule, but the process dies halfway — snapshot,
-  // then everything in scope (Generator, injector state) is destroyed.
-  const std::int64_t kill_at = std::max<std::int64_t>(1, gen_len / 2);
-  std::size_t payload_bytes = 0;
-  {
-    util::ScopedFaultInjection chaos(seed);
-    chaos.arm(kFetchSite, spec);
-    chaos.arm(kPrefetchSite, spec);
-    runtime::Generator gen(config);
-    gen.begin(prompts, gen_len);
-    while (gen.step_index() < kill_at && !gen.done()) gen.step();
-    payload_bytes = gen.snapshot(path);
-  }
-
-  // Recovery: a fresh injector (same seed and arms — the checkpoint
-  // fast-forwards each site's draw stream) and a fresh Generator resume
-  // from the file and run to completion.
-  std::vector<std::vector<std::int64_t>> resumed;
-  std::int64_t resumed_from = 0;
-  {
-    util::ScopedFaultInjection chaos(seed);
-    chaos.arm(kFetchSite, spec);
-    chaos.arm(kPrefetchSite, spec);
-    runtime::Generator gen(config);
-    gen.resume(path);
-    resumed_from = gen.step_index();
-    while (!gen.done()) gen.step();
-    resumed = gen.finish().tokens;
-  }
-
-  std::printf("chaos profile 'kill-resume' (seed %llu, fault rate %.0f%%) "
-              "on %s, %s KV\n",
-              static_cast<unsigned long long>(seed),
-              spec.fail_probability * 100.0, config.spec.name.c_str(),
-              kv_label(config).c_str());
-  std::printf("killed at token %lld/%lld; checkpoint %s (%zu payload "
-              "bytes); resumed at token %lld\n",
-              static_cast<long long>(kill_at),
-              static_cast<long long>(gen_len), path.c_str(), payload_bytes,
-              static_cast<long long>(resumed_from));
-
-  const bool identical = resumed == reference;
-  std::printf("tokens identical to uninterrupted run: %s\n",
-              identical ? "yes" : "NO — checkpoint determinism bug");
-  return identical ? 0 : 1;
-}
-
-/// `lmo chaos --profile shared-prefix`: prefix-sharing determinism drill.
-/// Two generation batches whose prompts share long prefixes run twice: a
-/// clean reference with sharing off, and a chaos run with sharing on plus
-/// transient transfer faults. The second batch's prefills hit the radix
-/// cache warmed by the first, so byte-identical tokens prove shared KV
-/// reuse is exact even while the recovery machinery is retrying transfers.
-int cmd_chaos_shared_prefix(const Args& args) {
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
-  const std::int64_t gen_len = args.get_int("len", 10);
-
-  runtime::RuntimeConfig config = tiny_runtime_config(args);
-  LMO_CHECK_MSG(config.window_tokens == 0,
-                "shared-prefix profile requires full KV (no --window)");
-  const std::int64_t block_tokens = args.get_int("kv-block-tokens", 8);
-
-  // Batch A warms the cache; batch B shares A's leading tokens and adds
-  // fresh suffixes. Deterministic literal prompts, multi-block prefixes.
-  std::vector<std::int64_t> stem;
-  for (std::int64_t t = 0; t < 4 * block_tokens; ++t) {
-    stem.push_back(1 + (t * 7) % 96);
-  }
-  auto with_suffix = [&stem](std::initializer_list<std::int64_t> tail) {
-    std::vector<std::int64_t> p = stem;
-    p.insert(p.end(), tail);
-    return p;
-  };
-  const std::vector<std::vector<std::int64_t>> batch_a = {
-      with_suffix({101, 102, 103}), with_suffix({44, 45})};
-  const std::vector<std::vector<std::int64_t>> batch_b = {
-      with_suffix({7, 8, 9, 10}), with_suffix({101, 102, 99})};
-
-  util::FaultSpec fault;
-  fault.fail_probability = std::stod(args.get("rate", "0.05"));
-
-  // Clean reference: sharing off, no faults.
-  std::vector<std::vector<std::int64_t>> clean_a, clean_b;
-  {
-    runtime::Generator gen(config);
-    clean_a = gen.generate(batch_a, gen_len).tokens;
-    clean_b = gen.generate(batch_b, gen_len).tokens;
-  }
-
-  // Chaos run: sharing on, transfer faults armed.
-  config.prefix_share = true;
-  config.kv_block_tokens = block_tokens;
-  std::uint64_t hit_tokens = 0;
-  std::uint64_t evicted = 0;
-  std::vector<std::vector<std::int64_t>> shared_a, shared_b;
-  {
-    util::ScopedFaultInjection chaos(seed);
-    chaos.arm("offload.fetch.transfer", fault);
-    chaos.arm("offload.prefetch.transfer", fault);
-    runtime::Generator gen(config);
-    shared_a = gen.generate(batch_a, gen_len).tokens;
-    shared_b = gen.generate(batch_b, gen_len).tokens;
-    const auto snap = gen.manager().metrics().snapshot();
-    if (const auto* c = snap.find("kvshare.hit_tokens")) hit_tokens = c->count;
-    if (const auto* c = snap.find("kvshare.evicted_blocks")) {
-      evicted = c->count;
-    }
-  }
-
-  std::printf("chaos profile 'shared-prefix' (seed %llu, fault rate "
-              "%.0f%%) on %s, block %lld tokens\n",
-              static_cast<unsigned long long>(seed),
-              fault.fail_probability * 100.0, config.spec.name.c_str(),
-              static_cast<long long>(block_tokens));
-  std::printf("batch B reused %llu prompt tokens from batch A's cache "
-              "(%llu blocks evicted)\n",
-              static_cast<unsigned long long>(hit_tokens),
-              static_cast<unsigned long long>(evicted));
-
-  const bool identical = shared_a == clean_a && shared_b == clean_b;
-  const bool reused = hit_tokens > 0;
-  std::printf("tokens identical to sharing-off fault-free run: %s\n",
-              identical ? "yes" : "NO — prefix-sharing determinism bug");
-  if (!reused) {
-    std::printf("WARNING: no prefix hits recorded — drill did not "
-                "exercise sharing\n");
-  }
-  return identical && reused ? 0 : 1;
-}
-
-/// `lmo chaos --profile bitflip`: the silent-corruption determinism drill.
-/// A clean reference generation (verification on, no faults) is compared
-/// against two identically-seeded runs with the bit-flip fault class armed
-/// on the weight-fetch and KV read-back wires under verify=always. Exit 0
-/// requires all of:
-///   * chaos tokens byte-identical to the clean run — every flip was
-///     detected and repaired, zero silent divergence;
-///   * the two seeded runs agree on tokens *and* integrity.* counters —
-///     detection and repair are deterministic;
-///   * every fired flip was detected (verify.failures == flips fired) and
-///     repaired on the right ladder rung (refetch + recompute == failures,
-///     nothing unrepairable).
-/// Single-threaded on purpose: the per-site flip draw order is the one
-/// thread-sensitive part of the path, and the drill pins it down.
-int cmd_chaos_bitflip(const Args& args) {
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
-  const std::int64_t gen_len = args.get_int("len", 12);
-
-  runtime::RuntimeConfig config = tiny_runtime_config(args);
-  config.prefetch_threads = 0;  // deterministic draw order
-  config.compute_threads = 0;
-  config.integrity.policy = integrity::VerifyPolicy::kAlways;
-  config.integrity.max_repair_attempts = args.get_int("repair-attempts", 8);
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
-
-  // Per-draw flip probabilities. The KV site draws once per row *read*
-  // (hundreds per step, and every repair re-prefill re-reads them all), so
-  // its rate must sit well below the weight site's once-per-fetch rate or
-  // repairs re-corrupt faster than the ladder converges.
-  util::FaultSpec weights_fault;
-  weights_fault.flip_probability = std::stod(args.get("rate", "0.05"));
-  util::FaultSpec kv_fault;
-  kv_fault.flip_probability = std::stod(args.get("kv-rate", "0.005"));
-  constexpr const char* kWeightsFlip = "integrity.weights.flip";
-  constexpr const char* kKvFlip = "integrity.kv.flip";
-
-  // Clean reference: same config (verification armed), no injector.
-  std::vector<std::vector<std::int64_t>> clean;
-  {
-    runtime::Generator gen(config);
-    clean = gen.generate(prompts, gen_len).tokens;
-  }
-
-  struct DrillRun {
-    std::vector<std::vector<std::int64_t>> tokens;
-    std::uint64_t fired_weights = 0;
-    std::uint64_t fired_kv = 0;
-    std::uint64_t verified = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t refetch = 0;
-    std::uint64_t recompute = 0;
-    std::uint64_t unrepairable = 0;
-
-    bool operator==(const DrillRun& other) const {
-      return tokens == other.tokens &&
-             fired_weights == other.fired_weights &&
-             fired_kv == other.fired_kv && verified == other.verified &&
-             failures == other.failures && refetch == other.refetch &&
-             recompute == other.recompute &&
-             unrepairable == other.unrepairable;
-    }
-  };
-  const auto run_chaos = [&]() {
-    DrillRun r;
-    util::ScopedFaultInjection chaos(seed);
-    chaos.arm(kWeightsFlip, weights_fault);
-    chaos.arm(kKvFlip, kv_fault);
-    runtime::Generator gen(config);
-    r.tokens = gen.generate(prompts, gen_len).tokens;
-    r.fired_weights = chaos.count(kWeightsFlip, util::FaultKind::kBitFlip);
-    r.fired_kv = chaos.count(kKvFlip, util::FaultKind::kBitFlip);
-    const auto snap = gen.manager().metrics().snapshot();
-    const auto counter = [&snap](const char* name) -> std::uint64_t {
-      const auto* c = snap.find(name);
-      return c != nullptr ? c->count : 0;
-    };
-    r.verified = counter("integrity.verify.total");
-    r.failures = counter("integrity.verify.failures");
-    r.refetch = counter("integrity.repair.refetch");
-    r.recompute = counter("integrity.repair.recompute");
-    r.unrepairable = counter("integrity.unrepairable");
-    return r;
-  };
-  const auto a = run_chaos();
-  const auto b = run_chaos();
-
-  std::printf("chaos profile 'bitflip' (seed %llu, flip rate %.1f%% per "
-              "fetch / %.2f%% per KV row) on %s, %s KV, verify=always\n",
-              static_cast<unsigned long long>(seed),
-              weights_fault.flip_probability * 100.0,
-              kv_fault.flip_probability * 100.0, config.spec.name.c_str(),
-              kv_label(config).c_str());
-  std::printf("flips fired: %llu on weight fetches, %llu on KV read-backs "
-              "| %llu loads verified\n",
-              static_cast<unsigned long long>(a.fired_weights),
-              static_cast<unsigned long long>(a.fired_kv),
-              static_cast<unsigned long long>(a.verified));
-  std::printf("repair ladder: %llu detected -> %llu weight re-fetches + "
-              "%llu KV re-prefills, %llu unrepairable\n",
-              static_cast<unsigned long long>(a.failures),
-              static_cast<unsigned long long>(a.refetch),
-              static_cast<unsigned long long>(a.recompute),
-              static_cast<unsigned long long>(a.unrepairable));
-
-  const std::uint64_t fired = a.fired_weights + a.fired_kv;
-  const bool identical = a.tokens == clean;
-  const bool reproducible = a == b;
-  const bool detected_all = a.failures == fired;
-  const bool accounted =
-      a.refetch + a.recompute == a.failures && a.unrepairable == 0;
-  std::printf("tokens identical to fault-free run: %s\n",
-              identical ? "yes" : "NO — silent corruption leaked");
-  std::printf("seeded runs identical (tokens + integrity counters): %s\n",
-              reproducible ? "yes" : "NO — integrity determinism bug");
-  std::printf("every fired flip detected: %s | repairs account for every "
-              "detection: %s\n",
-              detected_all ? "yes" : "NO — a verified region missed a flip",
-              accounted ? "yes" : "NO — repair accounting mismatch");
-  if (fired == 0) {
-    std::printf("WARNING: no bit flips fired — drill did not exercise the "
-                "integrity path\n");
-  }
-  return identical && reproducible && detected_all && accounted && fired > 0
-             ? 0
-             : 1;
-}
-
-/// `lmo chaos --profile diskfault`: the three-tier determinism drill.
-/// The coldest layers live on the disk tier (in-memory backend, so the
-/// drill is hermetic — the fault sites and CRC path are identical to a
-/// file backend). A fault-free disk-off run is the reference; a fault-free
-/// disk-on run proves the tier is transparent; two identically-seeded runs
-/// with torn writes armed on the spill path and read errors on the staging
-/// path prove the store's bounded retries absorb both classes without
-/// perturbing a single token. Single-threaded so the per-site draw order
-/// is pinned.
-int cmd_chaos_diskfault(const Args& args) {
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
-  const std::int64_t gen_len = args.get_int("len", 12);
-
-  runtime::RuntimeConfig config = tiny_runtime_config(args);
-  config.prefetch_threads = 0;  // deterministic draw order
-  config.compute_threads = 0;
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
-
-  // Reference: the whole model on the device+host tiers.
-  std::vector<std::vector<std::int64_t>> reference;
-  {
-    runtime::Generator gen(config);
-    reference = gen.generate(prompts, gen_len).tokens;
-  }
-
-  // Disk tier on: the back half of the model spills to the block store.
-  config.disk_layers = std::max<std::int64_t>(1, config.spec.num_layers / 2);
-  config.disk_capacity = 64u << 20;
-
-  std::vector<std::vector<std::int64_t>> spilled;
-  {
-    runtime::Generator gen(config);
-    spilled = gen.generate(prompts, gen_len).tokens;
-  }
-
-  // Spill writes happen once per shard at registration (a few dozen), so
-  // the torn-write rate sits well above the per-read error rate or the
-  // drill never exercises the write-verify path.
-  util::FaultSpec write_fault;
-  write_fault.torn_write_probability = std::stod(args.get("rate", "0.2"));
-  util::FaultSpec read_fault;
-  read_fault.read_error_probability =
-      std::stod(args.get("read-rate", "0.05"));
-
-  struct DrillRun {
-    std::vector<std::vector<std::int64_t>> tokens;
-    std::uint64_t torn = 0;
-    std::uint64_t read_errors = 0;
-    std::uint64_t write_retries = 0;
-    std::uint64_t read_retries = 0;
-
-    bool operator==(const DrillRun& other) const {
-      return tokens == other.tokens && torn == other.torn &&
-             read_errors == other.read_errors &&
-             write_retries == other.write_retries &&
-             read_retries == other.read_retries;
-    }
-  };
-  const auto run_chaos = [&]() {
-    DrillRun r;
-    util::ScopedFaultInjection chaos(seed);
-    chaos.arm(store::BlockStore::kWriteSite, write_fault);
-    chaos.arm(store::BlockStore::kReadSite, read_fault);
-    runtime::Generator gen(config);
-    r.tokens = gen.generate(prompts, gen_len).tokens;
-    r.torn = chaos.count(store::BlockStore::kWriteSite,
-                         util::FaultKind::kTornWrite);
-    r.read_errors = chaos.count(store::BlockStore::kReadSite,
-                                util::FaultKind::kReadError);
-    const auto snap = gen.manager().metrics().snapshot();
-    const auto counter = [&snap](const char* name) -> std::uint64_t {
-      const auto* c = snap.find(name);
-      return c != nullptr ? c->count : 0;
-    };
-    r.write_retries = counter("store.write.retries");
-    r.read_retries = counter("store.read.retries");
-    return r;
-  };
-  const auto a = run_chaos();
-  const auto b = run_chaos();
-
-  std::printf("chaos profile 'diskfault' (seed %llu, torn-write rate "
-              "%.0f%% / read-error rate %.0f%%) on %s, %lld of %lld "
-              "layers on disk\n",
-              static_cast<unsigned long long>(seed),
-              write_fault.torn_write_probability * 100.0,
-              read_fault.read_error_probability * 100.0,
-              config.spec.name.c_str(),
-              static_cast<long long>(config.disk_layers),
-              static_cast<long long>(config.spec.num_layers));
-  std::printf("faults fired: %llu torn writes, %llu read errors | "
-              "retries: %llu write, %llu read\n",
-              static_cast<unsigned long long>(a.torn),
-              static_cast<unsigned long long>(a.read_errors),
-              static_cast<unsigned long long>(a.write_retries),
-              static_cast<unsigned long long>(a.read_retries));
-
-  const bool transparent = spilled == reference;
-  const bool identical = a.tokens == reference;
-  const bool reproducible = a == b;
-  const std::uint64_t fired = a.torn + a.read_errors;
-  std::printf("disk-on tokens identical to disk-off run: %s\n",
-              transparent ? "yes" : "NO — spill changed the output");
-  std::printf("tokens identical under disk faults: %s\n",
-              identical ? "yes" : "NO — a fault leaked into the output");
-  std::printf("seeded runs identical (tokens + store counters): %s\n",
-              reproducible ? "yes" : "NO — store determinism bug");
-  if (fired == 0) {
-    std::printf("WARNING: no disk faults fired — drill did not exercise "
-                "the store's retry path\n");
-  }
-  return transparent && identical && reproducible && fired > 0 ? 0 : 1;
-}
-
-/// `lmo chaos --profile overload`: the overload-protection determinism
-/// drill. A seeded burst workload slams the serving simulator with the
-/// degradation ladder, a tight KV pool, and deadline-aware shedding armed;
-/// the identical run repeats and the two metrics snapshots and trace JSONs
-/// (which carry every ladder transition and shed/reject span) must match
-/// byte for byte. Exit 0 additionally requires that the drill actually
-/// escalated the ladder and shed work — a drill that never left kNormal
-/// proves nothing.
-int cmd_chaos_overload(const Args& args) {
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
-  const auto spec = model::ModelSpec::by_name(args.get("model", "opt-13b"));
-  const auto platform = load_platform(args);
-
-  serve::BurstProfile profile;
-  profile.base.arrival_rate = 0.5;
-  profile.base.prompt_mean = 64;
-  profile.base.gen_mean = 48;
-  profile.base.gen_max = 128;
-  profile.burst_rate = std::stod(args.get("burst-rate", "8.0"));
-  profile.burst_start = 10.0;
-  profile.burst_duration = 30.0;
-  profile.ramp_seconds = 5.0;
-  profile.num_priorities = 3;
-  const std::int64_t count = args.get_int("requests", 140);
-
-  // GPU-resident weights: the engine has genuine capacity at the base
-  // rate, so overload comes from the burst — not from a server that was
-  // already drowning.
-  perfmodel::Policy policy;
-  policy.weights_on_gpu = 1.0;
-  policy.attention_on_cpu = false;
-  policy.activations_on_gpu = 1.0;
-  policy.weight_bits = 4;
-  policy.kv_bits = 8;
-  policy.parallelism_control = true;
-
-  serve::ServeConfig config;
-  config.max_batch = 8;
-  config.deadline_seconds = std::stod(args.get("deadline", "30.0"));
-  config.admission = overload::AdmissionPolicy::kDeadlineShed;
-  config.max_queue = static_cast<std::size_t>(args.get_int("max-queue", 24));
-  config.overload.enabled = true;
-  config.overload.kv_pool_bytes =
-      static_cast<std::size_t>(args.get_int("kv-pool-kb", 10240)) << 10;
-  config.overload.ladder.escalate_steps = 2;
-  config.overload.ladder.deescalate_steps = 4;
-
-  const auto requests = serve::generate_burst_requests(profile, count, seed);
-
-  serve::ServeMetrics first_metrics;
-  const auto run = [&](serve::ServeMetrics* out) {
-    telemetry::MetricsRegistry reg;
-    telemetry::TraceRecorder rec;
-    rec.enable();
-    const auto m = serve::simulate_serving(spec, policy, platform, requests,
-                                           config, &reg, &rec);
-    if (out != nullptr) *out = m;
-    return std::pair<std::string, std::string>(reg.snapshot().to_json(),
-                                               rec.to_json());
-  };
-  const auto a = run(&first_metrics);
-  const auto b = run(nullptr);
-
-  const serve::ServeMetrics& m = first_metrics;
-  std::printf("chaos profile 'overload' (seed %llu) on %s: %lld requests, "
-              "burst %.0f req/s, KV pool %s\n",
-              static_cast<unsigned long long>(seed), spec.name.c_str(),
-              static_cast<long long>(count), profile.burst_rate,
-              util::format_bytes(
-                  static_cast<double>(config.overload.kv_pool_bytes))
-                  .c_str());
-  std::printf("ladder: %zu escalations / %zu de-escalations | %zu shed, "
-              "%zu rejected, %zu demoted, %zu preempted\n",
-              m.overload_escalations, m.overload_deescalations, m.shed,
-              m.rejected, m.demoted_sessions, m.overload_preemptions);
-  std::printf("goodput %.2f req/s | SLO attainment %.0f%% | %zu completed\n",
-              m.request_goodput, m.slo_attainment * 100.0, m.completed);
-
-  const bool metrics_identical = a.first == b.first;
-  const bool traces_identical = a.second == b.second;
-  const bool escalated = m.overload_escalations > 0;
-  const bool degraded = m.shed + m.rejected > 0;
-  std::printf("metrics snapshots byte-identical: %s\n",
-              metrics_identical ? "yes" : "NO — overload determinism bug");
-  std::printf("overload traces byte-identical:   %s\n",
-              traces_identical ? "yes" : "NO — overload determinism bug");
-  if (!escalated) {
-    std::printf("WARNING: ladder never escalated — drill did not exercise "
-                "overload\n");
-  }
-  if (!degraded) {
-    std::printf("WARNING: nothing was shed or rejected — drill did not "
-                "exercise load shedding\n");
-  }
-  return metrics_identical && traces_identical && escalated && degraded ? 0
-                                                                        : 1;
-}
-
-/// `lmo chaos --profile adaptive`: the adaptive-parallelism determinism
-/// drill, in two parts. (1) Two seeded closed-loop simulations on a
-/// miscalibrated believed input (copy bandwidth 4x too optimistic) must
-/// produce byte-identical metrics snapshots and replan traces, and the
-/// controller must actually re-plan to at least match the static plan.
-/// (2) Real tiny-Generator runs: adaptive twice must agree token-for-token,
-/// and adaptive vs. control-off must too — the controller moves threads,
-/// never tokens.
-int cmd_chaos_adaptive(const Args& args) {
-  const auto spec = model::ModelSpec::by_name(args.get("model", "opt-13b"));
-  // Default to the desktop preset: 16 cores and a PCIe 4 link make the
-  // believed plan I/O-bound once the true copy bandwidth is 4x lower, so
-  // the drill genuinely forces a re-plan (the datacenter presets stay
-  // compute-bound and would hold forever).
-  const auto platform = hw::platform_by_name(
-      args.get("platform", "rtx4090-desktop"));
-  const int windows = static_cast<int>(args.get_int("windows", 6));
-
-  model::Workload w;
-  w.prompt_len = 512;
-  w.gen_len = 32;
-  w.gpu_batch = 8;
-  w.num_batches = 1;
-  perfmodel::Policy policy;
-  policy.weights_on_gpu = 0.5;
-  policy.attention_on_cpu = false;
-  policy.activations_on_gpu = 1.0;
-  policy.weight_bits = 4;
-  policy.kv_bits = 4;
-  policy.parallelism_control = true;
-
-  parallel::SearchInput believed;
-  believed.compute_graph = core::LMOffload::compute_graph(spec, w, policy);
-  believed.io_bytes = core::LMOffload::io_volumes(spec, w, policy);
-  believed.platform = platform;
-  parallel::SearchInput truth = believed;
-  truth.per_thread_copy_bw = believed.per_thread_copy_bw / 4.0;
-
-  parallel::AdaptiveConfig aconfig;
-  aconfig.enabled = true;
-
-  parallel::AdaptiveSimResult sim_result;
-  const auto run = [&](parallel::AdaptiveSimResult* out) {
-    telemetry::MetricsRegistry reg;
-    telemetry::TraceRecorder rec;
-    rec.enable();
-    const auto r = parallel::simulate_adaptive(believed, truth, aconfig,
-                                               windows, &reg, &rec);
-    if (out != nullptr) *out = r;
-    return std::pair<std::string, std::string>(reg.snapshot().to_json(),
-                                               rec.to_json());
-  };
-  const auto a = run(&sim_result);
-  const auto b = run(nullptr);
-  const bool metrics_identical = a.first == b.first;
-  const bool traces_identical = a.second == b.second;
-  const bool replanned = sim_result.applied > 0;
-  const bool no_regression =
-      sim_result.adaptive_t_gen <= sim_result.static_t_gen * 1.0001;
-
-  std::printf("chaos profile 'adaptive' on %s: believed copy bw %.1f "
-              "GB/s/thread, true %.1f\n",
-              spec.name.c_str(), believed.per_thread_copy_bw / 1e9,
-              truth.per_thread_copy_bw / 1e9);
-  std::printf("closed loop over %d windows: t_gen %.3f s static -> %.3f s "
-              "adaptive (%d applied, %d reverted)\n",
-              windows, sim_result.static_t_gen, sim_result.adaptive_t_gen,
-              sim_result.applied, sim_result.reverted);
-  std::printf("metrics snapshots byte-identical: %s\n",
-              metrics_identical ? "yes" : "NO — adaptive determinism bug");
-  std::printf("replan traces byte-identical:     %s\n",
-              traces_identical ? "yes" : "NO — adaptive determinism bug");
-
-  // Part 2: the real runtime. Same prompts, controller on/on/off.
-  runtime::RuntimeConfig rconfig = tiny_runtime_config(args);
-  const std::int64_t gen_len = args.get_int("len", 12);
-  rconfig.adaptive.enabled = true;
-  rconfig.adaptive.window_steps = 3;
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
-  const auto generate = [&](const runtime::RuntimeConfig& c) {
-    runtime::Generator gen(c);
-    return gen.generate(prompts, gen_len).tokens;
-  };
-  const auto adaptive_1 = generate(rconfig);
-  const auto adaptive_2 = generate(rconfig);
-  rconfig.adaptive.enabled = false;
-  const auto control_off = generate(rconfig);
-  const bool runs_identical = adaptive_1 == adaptive_2;
-  const bool tokens_unaffected = adaptive_1 == control_off;
-  std::printf("runtime tokens identical across adaptive runs: %s\n",
-              runs_identical ? "yes" : "NO — adaptive determinism bug");
-  std::printf("runtime tokens identical with controller off: %s\n",
-              tokens_unaffected ? "yes" : "NO — controller perturbed tokens");
-  if (!replanned) {
-    std::printf("WARNING: controller never applied a re-plan — drill did "
-                "not exercise adaptation\n");
-  }
-  if (!no_regression) {
-    std::printf("WARNING: adaptive t_gen regressed past the static plan\n");
-  }
-  return metrics_identical && traces_identical && replanned &&
-                 no_regression && runs_identical && tokens_unaffected
-             ? 0
-             : 1;
 }
 
 /// `lmo checkpoint --verify FILE`: validate a checkpoint without restoring
@@ -1149,7 +528,8 @@ int cmd_checkpoint(const Args& args) {
   const std::int64_t gen_len = args.get_int("len", 12);
   const std::int64_t at =
       std::max<std::int64_t>(1, args.get_int("at", gen_len / 2));
-  const auto config = tiny_runtime_config(args);
+  runtime::RuntimeConfig config = chaos::tiny_runtime();
+  config.window_tokens = args.get_int("window", 0);
   const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
 
   runtime::Generator gen(config);
@@ -1186,24 +566,13 @@ int cmd_resume(const Args& args) {
   while (!gen.done()) gen.step();
   const auto result = gen.finish();
 
-  for (std::size_t i = 0; i < result.tokens.size(); ++i) {
-    std::printf("sequence %zu tokens:", i);
-    for (std::int64_t tok : result.tokens[i]) {
-      std::printf(" %lld", static_cast<long long>(tok));
-    }
-    std::printf("\n");
-  }
+  print_tokens(result.tokens);
   std::printf("resumed run: %.1f tok/s (%lld tokens finished after "
               "restore)\n",
               result.tokens_per_second,
               static_cast<long long>(meta.gen_len - meta.produced));
 
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    gen.manager().metrics().snapshot().save(metrics_out);
-    std::printf("wrote resume-run offload metrics to %s\n",
-                metrics_out.c_str());
-  }
+  save_metrics(args, gen.manager().metrics(), "resume-run");
   return 0;
 }
 
@@ -1212,7 +581,8 @@ int cmd_resume(const Args& args) {
 /// adoption, checkpoint restore — and finish the generation under continued
 /// supervision. The runtime configuration comes from the checkpoint itself.
 int cmd_recover(const Args& args) {
-  const std::string dir = args.get("dir", "lmo_crash_drill");
+  const std::string dir = args.get("dir", "");
+  LMO_CHECK_MSG(!dir.empty(), "recover needs --dir D");
   recover::RecoveryManager manager({dir});
   recover::RecoveredSession session = manager.recover();
   runtime::Generator& gen = *session.generator;
@@ -1229,272 +599,43 @@ int cmd_recover(const Args& args) {
     gen.step();
     manager.note_step(gen);
   }
-  const auto result = gen.finish();
-  for (std::size_t i = 0; i < result.tokens.size(); ++i) {
-    std::printf("sequence %zu tokens:", i);
-    for (std::int64_t tok : result.tokens[i]) {
-      std::printf(" %lld", static_cast<long long>(tok));
-    }
-    std::printf("\n");
-  }
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    gen.manager().metrics().snapshot().save(metrics_out);
-    std::printf("wrote recovery-run metrics to %s\n", metrics_out.c_str());
-  }
+  print_tokens(gen.finish().tokens);
+  save_metrics(args, gen.manager().metrics(), "recovery-run");
   return 0;
 }
 
-/// `lmo chaos --profile crash`: the kill -9 drill. A reference supervised
-/// run records the expected tokens; then, for every crash-point fault site
-/// on the offload path, a forked child re-runs the same supervised
-/// generation with SIGKILL armed at successive operation indices of that
-/// site. The parent recovers each kill from the on-disk state alone and
-/// asserts byte-identical tokens. A clean child exit means the site ran
-/// out of operations — the sweep moves to the next site.
-int cmd_chaos_crash(const Args& args) {
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
-  const std::int64_t gen_len = args.get_int("len", 8);
-  const int max_ops = args.get_int("ops", 4);
-  const std::string dir = args.get("dir", "lmo_crash_drill");
-
-  runtime::RuntimeConfig config = tiny_runtime_config(args);
-  // Disk tier on (journaled spills) and strictly no threads: the child is
-  // forked, and a forked process must not inherit pool threads mid-state.
-  config.disk_layers = 2;
-  config.disk_capacity = 8u << 20;
-  config.spill_block_bytes = 4096;
-  config.prefetch_threads = 0;
-  config.compute_threads = 0;
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
-
-  // Reference: one uninterrupted supervised run.
-  std::vector<std::vector<std::int64_t>> reference;
-  {
-    recover::RecoveryManager manager({dir});
-    auto gen = manager.start(config);
-    gen->begin(prompts, gen_len);
-    while (!gen->done()) {
-      gen->step();
-      manager.note_step(*gen);
-    }
-    reference = gen->finish().tokens;
-  }
-
-  const std::vector<std::string> sites = {
-      recover::kJournalAppendSite,
-      store::BlockStore::kWriteSite,
-      recover::kJournalFsyncSite,
-      ckpt::kPublishSite,
-  };
-  int kills = 0;
-  int recovered_ok = 0;
-  int failures = 0;
-  for (const std::string& site : sites) {
-    for (int at = 0; at < max_ops; ++at) {
-      std::fflush(stdout);
-      const pid_t pid = ::fork();
-      if (pid == 0) {
-        // Child: same supervised run, SIGKILL armed at operation `at` of
-        // `site`. _exit(0) means the schedule never fired.
-        util::ScopedFaultInjection chaos(seed);
-        util::FaultSpec spec;
-        spec.crash_at_op = at;
-        chaos.arm(site, spec);
-        try {
-          recover::RecoveryManager manager({dir});
-          auto gen = manager.start(config);
-          gen->begin(prompts, gen_len);
-          while (!gen->done()) {
-            gen->step();
-            manager.note_step(*gen);
-          }
-          gen->finish();
-        } catch (...) {
-          ::_exit(3);
-        }
-        ::_exit(0);
-      }
-      LMO_CHECK_MSG(pid > 0, "fork failed");
-      int status = 0;
-      LMO_CHECK_MSG(::waitpid(pid, &status, 0) == pid, "waitpid failed");
-      if (WIFEXITED(status) && WEXITSTATUS(status) == 0) break;  // site done
-      const bool killed = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
-      if (!killed) {
-        std::printf("site %s op %d: child failed unexpectedly (status %d)\n",
-                    site.c_str(), at, status);
-        ++failures;
-        continue;
-      }
-      ++kills;
-      // Parent: recover from the on-disk state alone. A crash before the
-      // first checkpoint legitimately recovers unresumed — then the drill
-      // begins from scratch (identical tokens either way: deterministic).
-      recover::RecoveryManager manager({dir});
-      recover::RecoveredSession session = manager.recover(&config);
-      runtime::Generator& gen = *session.generator;
-      if (!session.resumed) gen.begin(prompts, gen_len);
-      while (!gen.done()) {
-        gen.step();
-        manager.note_step(gen);
-      }
-      const auto tokens = gen.finish().tokens;
-      const bool identical = tokens == reference;
-      std::printf("site %-24s op %d: killed, recovered at epoch %llu "
-                  "(%s, %llu orphan block(s)) -> tokens %s\n",
-                  site.c_str(), at,
-                  static_cast<unsigned long long>(session.epoch),
-                  session.resumed ? "resumed" : "fresh start",
-                  static_cast<unsigned long long>(session.orphan_blocks),
-                  identical ? "identical" : "DIVERGED");
-      if (identical) {
-        ++recovered_ok;
-      } else {
-        ++failures;
-      }
-    }
-  }
-  std::printf("chaos profile 'crash' (seed %llu): %d kill(s), %d recovered "
-              "byte-identically, %d failure(s)\n",
-              static_cast<unsigned long long>(seed), kills, recovered_ok,
-              failures);
-  if (kills == 0) {
-    std::printf("no crash site ever fired — drill is vacuous\n");
-    return 1;
-  }
-  return failures == 0 ? 0 : 1;
-}
-
+/// `lmo chaos --profile NAME`: run one drill of the chaos table and exit
+/// 0 when every invariant holds, 1 otherwise, 2 for an unknown name.
 int cmd_chaos(const Args& args) {
-  // Run real generation under a named fault profile and report how the
-  // recovery machinery absorbed it. The robustness contract: faults perturb
-  // timing, never tokens (except `oom`, whose degradation ladder lowers
-  // weight precision by design).
-  const std::string profile = args.get("profile", "flaky-pcie");
-  if (profile == "kill-resume") return cmd_chaos_kill_resume(args);
-  if (profile == "shared-prefix") return cmd_chaos_shared_prefix(args);
-  if (profile == "bitflip") return cmd_chaos_bitflip(args);
-  if (profile == "diskfault") return cmd_chaos_diskfault(args);
-  if (profile == "overload") return cmd_chaos_overload(args);
-  if (profile == "adaptive") return cmd_chaos_adaptive(args);
-  if (profile == "crash") return cmd_chaos_crash(args);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
-  const std::int64_t gen_len = args.get_int("len", 12);
-
-  runtime::RuntimeConfig config = tiny_runtime_config(args);
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
-
-  constexpr const char* kFetchSite = "offload.fetch.transfer";
-  constexpr const char* kPrefetchSite = "offload.prefetch.transfer";
-  struct Armed {
-    std::string site;
-    util::FaultSpec spec;
-  };
-  std::vector<Armed> arms;
-  bool tokens_must_match = true;
-  if (profile == "flaky-pcie") {
-    // Transient transfer failures on every host->device path.
-    util::FaultSpec spec;
-    spec.fail_probability = std::stod(args.get("rate", "0.05"));
-    arms.push_back({kFetchSite, spec});
-    arms.push_back({kPrefetchSite, spec});
-  } else if (profile == "congested") {
-    // Latency spikes plus one hard bandwidth-degradation window.
-    util::FaultSpec spec;
-    spec.latency_probability = 0.2;
-    spec.latency_seconds = 2e-4;
-    spec.window_begin = 8;
-    spec.window_end = 24;
-    arms.push_back({kFetchSite, spec});
-  } else if (profile == "dead-prefetch") {
-    // Async loads always die; fetches must fall back synchronously.
-    config.prefetch_threads = 2;
-    util::FaultSpec spec;
-    spec.fail_probability = 1.0;
-    arms.push_back({kPrefetchSite, spec});
-  } else if (profile == "oom") {
-    // Host pool denies the first allocations: registration re-quantizes.
-    // Start at fp16 so the ladder has two rungs (8-bit, 4-bit) to absorb
-    // the denials with.
-    config.weight_bits = 16;
-    util::FaultSpec spec;
-    spec.alloc_failures = args.get_int("denials", 2);
-    arms.push_back({"pool.host.charge", spec});
-    tokens_must_match = false;  // lower precision changes the tokens
-  } else {
-    std::fprintf(stderr,
-                 "unknown chaos profile: %s\n"
-                 "profiles: flaky-pcie [--rate P], congested, "
-                 "dead-prefetch, oom [--denials N], "
-                 "bitflip [--rate P] [--repair-attempts N], "
-                 "kill-resume [--rate P] [--window N], "
-                 "shared-prefix [--rate P] [--kv-block-tokens N], "
-                 "overload [--burst-rate R] [--kv-pool-kb N], "
-                 "adaptive [--windows N], "
-                 "crash [--ops N] [--dir D]\n",
-                 profile.c_str());
+  const std::string name = args.get("profile", "flaky-pcie");
+  const chaos::Drill* drill = chaos::find(name);
+  if (drill == nullptr) {
+    std::fprintf(stderr, "unknown chaos profile: %s\nprofiles:", name.c_str());
+    for (const auto& d : chaos::drills()) {
+      std::fprintf(stderr, " %s", d.name.c_str());
+    }
+    std::fprintf(stderr, "\n");
     return 2;
   }
-
-  runtime::Generator clean_gen(config);
-  const auto clean = clean_gen.generate(prompts, gen_len);
-
-  util::ScopedFaultInjection chaos(seed);
-  for (const auto& a : arms) chaos.arm(a.site, a.spec);
-  runtime::Generator chaos_gen(config);
-  const auto faulted = chaos_gen.generate(prompts, gen_len);
-
-  std::printf("chaos profile '%s' (seed %llu) on %s, %lld tokens\n\n",
-              profile.c_str(), static_cast<unsigned long long>(seed),
-              config.spec.name.c_str(),
-              static_cast<long long>(gen_len));
-
-  util::Table injected({"site", "kind", "fired"});
-  for (const auto& a : arms) {
-    for (auto kind : {util::FaultKind::kTransient, util::FaultKind::kLatency,
-                      util::FaultKind::kAllocFailure}) {
-      const auto n = chaos.count(a.site, kind);
-      if (n > 0) {
-        injected.add_row({a.site, util::to_string(kind), std::to_string(n)});
-      }
-    }
-  }
-  injected.print(std::cout);
-
-  const auto& s = faulted.offload;
-  util::Table report({"recovery action", "count"});
-  report.add_row({"transfer retries", std::to_string(s.transfer_retries)});
-  report.add_row({"transfer failures (budget exhausted)",
-                  std::to_string(s.transfer_failures)});
-  report.add_row({"prefetch failures", std::to_string(s.prefetch_failures)});
-  report.add_row({"prefetch timeouts", std::to_string(s.prefetch_timeouts)});
-  report.add_row({"sync fallbacks", std::to_string(s.sync_fallbacks)});
-  report.add_row({"prefetch discards", std::to_string(s.prefetch_discards)});
-  report.add_row({"degradations", std::to_string(s.degradations)});
-  report.add_row({"staged evictions", std::to_string(s.staged_evictions)});
-  std::printf("\n");
-  report.print(std::cout);
-
-  std::printf("\nthroughput: %.1f tok/s clean -> %.1f tok/s under chaos\n",
-              clean.tokens_per_second, faulted.tokens_per_second);
-
+  chaos::Outcomes outcomes;
+  const int rc = chaos::run(*drill, std::cout, &outcomes);
   const std::string metrics_out = args.get("metrics-out", "");
   if (!metrics_out.empty()) {
-    chaos_gen.manager().metrics().snapshot().save(metrics_out);
-    std::printf("wrote chaos-run offload metrics to %s\n",
-                metrics_out.c_str());
+    // The registry of the drill's last run that recorded one.
+    for (auto it = drill->runs.rbegin(); it != drill->runs.rend(); ++it) {
+      const auto found = outcomes.find(it->name);
+      if (found == outcomes.end() || found->second.metrics_json.empty()) {
+        continue;
+      }
+      std::ofstream file(metrics_out);
+      LMO_CHECK_MSG(file << found->second.metrics_json << "\n",
+                    "cannot write metrics output file: " + metrics_out);
+      std::printf("wrote run '%s' metrics to %s\n", it->name.c_str(),
+                  metrics_out.c_str());
+      break;
+    }
   }
-
-  const bool identical = faulted.tokens == clean.tokens;
-  if (tokens_must_match) {
-    std::printf("tokens identical to fault-free run: %s\n",
-                identical ? "yes" : "NO — robustness bug");
-    return identical ? 0 : 1;
-  }
-  std::printf("tokens %s fault-free run (degradation ladder re-quantized "
-              "weights; divergence is expected)\n",
-              identical ? "identical to" : "diverge from");
-  return 0;
+  return rc;
 }
 
 int cmd_graph(const Args& args) {
@@ -1572,12 +713,8 @@ int cmd_trace_runtime(const Args& args) {
   const std::string out = args.get("out", "lmo_trace.json");
   const std::int64_t gen_len = args.get_int("len", 12);
 
-  runtime::RuntimeConfig config;
-  config.spec = model::ModelSpec::tiny(4, 64, 4, 128);
-  config.weight_bits = 8;
-  config.quant_group = 32;
-  config.device_layers = 0;       // every layer streams: load_weight spans
-  config.prefetch_threads = 2;    // worker rows that overlap the main row
+  runtime::RuntimeConfig config = chaos::tiny_runtime();  // every layer
+  config.prefetch_threads = 2;  // streams, on worker rows beside the main row
   // --adaptive 1: close the loop — the controller folds this run's own
   // measured spans back into Algorithm 3 and re-plans between windows.
   // Token outputs are unaffected; replan decisions land as
@@ -1618,11 +755,7 @@ int cmd_trace_runtime(const Args& args) {
                 reg.gauge("parallel.calibration.copy_bw").value() / 1e9);
   }
 
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    generator.manager().metrics().snapshot().save(metrics_out);
-    std::printf("wrote offload metrics to %s\n", metrics_out.c_str());
-  }
+  save_metrics(args, generator.manager().metrics(), "offload");
   return 0;
 }
 
@@ -1639,75 +772,116 @@ int cmd_trace(const Args& args) {
   std::printf("wrote %zu tasks to %s (open in chrome://tracing)\n",
               report.run.tasks.size(), out.c_str());
 
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    telemetry::MetricsRegistry registry;
-    sim::export_metrics(report.run, registry);
-    registry.snapshot().save(metrics_out);
-    std::printf("wrote predicted-run metrics to %s\n", metrics_out.c_str());
-  }
+  telemetry::MetricsRegistry registry;
+  sim::export_metrics(report.run, registry);
+  save_metrics(args, registry, "predicted-run");
   return 0;
 }
 
+/// One verb: its handler and every option it reads (space-separated).
+struct Verb {
+  const char* name;
+  int (*run)(const Args&);
+  std::string options;
+
+  bool takes(const std::string& option) const {
+    return (" " + options + " ").find(" " + option + " ") != std::string::npos;
+  }
+};
+
+const std::vector<Verb>& verbs() {
+  const std::string workload = "model prompt len batch batches bls";
+  static const std::vector<Verb> table = {
+      {"plan", cmd_plan, workload + " platform auto-block save"},
+      {"compare", cmd_compare, workload + " platform plan"},
+      {"sweep", cmd_sweep, "model platform"},
+      {"decide", cmd_decide, workload + " platform wg attn bits"},
+      {"calibrate", cmd_calibrate, "obs platform"},
+      {"graph", cmd_graph, workload + " kv-bits out"},
+      {"serve", cmd_serve,
+       "model platform trace templates rate template-tokens requests plan "
+       "max-batch chunk batching prefix-share kv-block-tokens deadline "
+       "retries admission max-queue kv-pool-mb adaptive window-steps verify "
+       "verify-sample ckpt-interval corrupt trace-out metrics-out"},
+      {"chaos", cmd_chaos, "profile metrics-out"},
+      {"trace", cmd_trace,
+       workload + " platform runtime out adaptive window-steps metrics-out"},
+      {"checkpoint", cmd_checkpoint, "verify out len at window"},
+      {"resume", cmd_resume, "from metrics-out"},
+      {"recover", cmd_recover, "dir metrics-out"},
+      {"models", cmd_models, ""},
+  };
+  return table;
+}
+
 int usage() {
-  std::fprintf(stderr,
-               "usage: lmo <plan|compare|sweep|decide|calibrate|graph|serve|chaos|\n            trace|checkpoint|resume|models> "
-               "[--model M] [--len N] [--prompt N] [--batch N] "
-               "[--batches N] [--bls N] [--platform preset-or-file] "
-               "[--wg PCT] [--attn cpu|gpu] [--bits 4|8] [--out FILE]\n"
-               "platform presets: a100-single, v100-quad, h100-single, "
-               "rtx4090-desktop\n"
-               "chaos: run generation under a fault profile "
-               "(--profile flaky-pcie|congested|dead-prefetch|oom|"
-               "kill-resume|shared-prefix|overload|adaptive [--rate P] "
-               "[--denials N] [--seed S] [--window N] "
-               "[--kv-block-tokens N] [--burst-rate R] [--kv-pool-kb N] "
-               "[--windows N])\n"
-               "serve: --prefix-share 1 shares prompt KV across requests "
-               "(--kv-block-tokens N); --templates N draws a shared-prefix "
-               "workload [--template-tokens T]\n"
-               "serve overload: --admission unbounded|fifo-reject|"
-               "deadline-shed|token-budget --max-queue N --deadline S "
-               "[--retries N] [--kv-pool-mb N arms the degradation "
-               "ladder]\n"
-               "checkpoint: snapshot a generation mid-decode "
-               "([--at N] [--len N] [--window N] [--out FILE]) "
-               "or validate one without restoring (--verify FILE);"
-               "\nresume: finish it from the file (--from FILE)\n"
-               "serve integrity: --verify off|sample|always "
-               "[--verify-sample N] [--ckpt-interval N] "
-               "[--corrupt T:ID[,T:ID...]] charges checksum time and "
-               "repairs injected corruption by checkpoint rollback\n"
-               "trace: predicted timeline by default; --runtime 1 records a "
-               "real Generator run's spans (--adaptive 1 closes the "
-               "parallelism loop on those spans)\n"
-               "serve adaptive: --adaptive 1 [--window-steps N] re-plans "
-               "the Algorithm-3 thread allocation online\n"
-               "telemetry: --metrics-out FILE on trace/serve/chaos exports "
-               "the metrics registry as JSON;\n           --trace-out FILE "
-               "on serve captures request-lifecycle spans\n");
+  std::fprintf(stderr, "usage: lmo <verb> [--option value ...]\n");
+  for (const Verb& verb : verbs()) {
+    std::string flags;
+    for (char c : " " + verb.options) {
+      flags += c == ' ' ? std::string(" --") : std::string(1, c);
+    }
+    std::fprintf(stderr, "  %-10s%s\n", verb.name,
+                 verb.options.empty() ? " (no options)" : flags.c_str());
+  }
+  std::fprintf(
+      stderr,
+      "platform presets: a100-single, v100-quad, h100-single, "
+      "rtx4090-desktop (or a key=value platform config file)\n"
+      "chaos --profile NAME runs one drill and exits 0 when every invariant "
+      "holds:\n");
+  for (const auto& drill : chaos::drills()) {
+    std::fprintf(stderr, "  %-22s %s\n", drill.name.c_str(),
+                 drill.summary.c_str());
+  }
+  std::fprintf(
+      stderr,
+      "serve: --prefix-share 1 shares prompt KV across requests; "
+      "--admission unbounded|fifo-reject|deadline-shed|token-budget with "
+      "--kv-pool-mb N arms the degradation ladder; --verify "
+      "off|sample|always --corrupt T:ID[,T:ID...] charges checksum time and "
+      "repairs injected corruption; --adaptive 1 re-plans threads online\n"
+      "checkpoint: snapshot a generation mid-decode, or validate a file "
+      "with --verify FILE; resume --from FILE finishes it; recover --dir D "
+      "restores a supervised run\n"
+      "trace: predicted timeline by default; --runtime 1 records a real "
+      "Generator run's spans\n"
+      "--metrics-out FILE exports the run's metrics registry as JSON; serve "
+      "--trace-out FILE captures request-lifecycle spans\n");
+  return 2;
+}
+
+/// Exit 2 with `message` before anything runs.
+int bad_option(const std::string& message) {
+  std::fprintf(stderr, "error: %s (run lmo with no arguments for usage)\n",
+               message.c_str());
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string command = argc >= 2 ? argv[1] : "";
+  const Verb* verb = nullptr;
+  for (const Verb& v : verbs()) {
+    if (command == v.name) verb = &v;
+  }
+  if (verb == nullptr) return usage();
+
+  Args args;
+  for (int i = 2; i < argc; i += 2) {
+    const std::string flag = argv[i];
+    if (flag.rfind("--", 0) != 0) {
+      return bad_option("expected --option, got: " + flag);
+    }
+    if (!verb->takes(flag.substr(2))) {
+      return bad_option("lmo " + command + " does not take " + flag);
+    }
+    if (i + 1 == argc) return bad_option("option " + flag + " needs a value");
+    args.options[flag.substr(2)] = argv[i + 1];
+  }
   try {
-    const Args args = parse_args(argc, argv);
-    if (args.command == "models") return cmd_models();
-    if (args.command == "plan") return cmd_plan(args);
-    if (args.command == "compare") return cmd_compare(args);
-    if (args.command == "sweep") return cmd_sweep(args);
-    if (args.command == "decide") return cmd_decide(args);
-    if (args.command == "calibrate") return cmd_calibrate(args);
-    if (args.command == "graph") return cmd_graph(args);
-    if (args.command == "serve") return cmd_serve(args);
-    if (args.command == "chaos") return cmd_chaos(args);
-    if (args.command == "checkpoint") return cmd_checkpoint(args);
-    if (args.command == "resume") return cmd_resume(args);
-    if (args.command == "recover") return cmd_recover(args);
-    if (args.command == "trace") return cmd_trace(args);
-    return usage();
+    return verb->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

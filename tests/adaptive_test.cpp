@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "lmo/chaos/drill.hpp"
 #include "lmo/core/lm_offload.hpp"
 #include "lmo/hw/platform.hpp"
 #include "lmo/model/llm_config.hpp"
@@ -23,7 +25,6 @@
 #include "lmo/serve/server_sim.hpp"
 #include "lmo/sim/engine.hpp"
 #include "lmo/telemetry/metrics.hpp"
-#include "lmo/telemetry/trace.hpp"
 #include "lmo/util/status.hpp"
 
 namespace lmo {
@@ -253,24 +254,10 @@ TEST(AdaptiveController, RevertsWhenMeasurementsRegress) {
 }
 
 TEST(AdaptiveController, DecisionsAndTelemetryAreDeterministic) {
-  const auto believed = desktop_input();
-  auto truth = believed;
-  truth.per_thread_copy_bw /= 4.0;
-  parallel::AdaptiveConfig config;
-
-  const auto run = [&] {
-    telemetry::MetricsRegistry reg;
-    telemetry::TraceRecorder rec;
-    rec.enable();
-    parallel::simulate_adaptive(believed, truth, config, 6, &reg, &rec);
-    return std::pair<std::string, std::string>(reg.snapshot().to_json(),
-                                               rec.to_json());
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
-  EXPECT_NE(a.second.find("parallel.replan:apply"), std::string::npos);
+  // The adaptive chaos drill: on the 4x-miscalibrated desktop input the
+  // controller applies a re-plan, and two runs trace byte-identically.
+  std::ostringstream out;
+  EXPECT_EQ(chaos::run(*chaos::find("adaptive"), out), 0) << out.str();
 }
 
 TEST(AdaptiveController, PublishesReplanVocabulary) {
@@ -300,19 +287,15 @@ runtime::RuntimeConfig tiny_config() {
 }
 
 TEST(AdaptiveGenerator, TokensIdenticalWithControllerOnAndOff) {
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
-  auto config = tiny_config();
-  runtime::Generator off(config);
-  const auto base = off.generate(prompts, 10).tokens;
-
-  config.adaptive.enabled = true;
-  config.adaptive.window_steps = 2;
-  runtime::Generator on(config);
-  const auto adaptive = on.generate(prompts, 10).tokens;
-  EXPECT_EQ(base, adaptive);
-
-  runtime::Generator again(config);
-  EXPECT_EQ(adaptive, again.generate(prompts, 10).tokens);
+  // The adaptive chaos drill with prefetch workers: controller on twice and
+  // off, same tokens.
+  chaos::Drill drill = *chaos::find("adaptive");
+  drill.config.runtime = tiny_config();
+  drill.config.runtime.adaptive.enabled = true;
+  drill.config.runtime.adaptive.window_steps = 2;
+  drill.config.gen_len = 10;
+  std::ostringstream out;
+  EXPECT_EQ(chaos::run(drill, out), 0) << out.str();
 }
 
 TEST(AdaptiveGenerator, ControllerObservesWindows) {

@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "lmo/chaos/drill.hpp"
 #include "lmo/ckpt/binary_io.hpp"
 #include "lmo/ckpt/format.hpp"
 #include "lmo/ckpt/tensor_codec.hpp"
@@ -495,49 +497,20 @@ runtime::RuntimeConfig tiny_config(std::int64_t window_tokens = 0) {
   return config;
 }
 
-constexpr const char* kFetchSite = "offload.fetch.transfer";
 const std::vector<std::vector<std::int64_t>> kPrompts = {{1, 2, 3, 4},
                                                          {9, 8, 7}};
 constexpr std::int64_t kGenLen = 10;
 
-util::FaultSpec transient_5pct() {
-  util::FaultSpec spec;
-  spec.fail_probability = 0.05;
-  return spec;
-}
-
-/// The crash-recovery drill the chaos CLI ships: an uninterrupted chaos run
-/// vs a run killed at `kill_at` and resumed by a fresh Generator + fresh
-/// injector. Both must produce the same tokens.
+/// The kill-resume chaos drill on `config`: an uninterrupted run under
+/// transient transfer faults vs a run killed at kGenLen / 2 and resumed by a
+/// fresh Generator and a fresh injector. Both must produce the same tokens.
 void expect_kill_resume_deterministic(const runtime::RuntimeConfig& config) {
-  TempFile file("ckpt_test_kill_resume.ckpt");
-
-  std::vector<std::vector<std::int64_t>> reference;
-  {
-    util::ScopedFaultInjection chaos(2024);
-    chaos.arm(kFetchSite, transient_5pct());
-    runtime::Generator gen(config);
-    reference = gen.generate(kPrompts, kGenLen).tokens;
-  }
-
-  {
-    util::ScopedFaultInjection chaos(2024);
-    chaos.arm(kFetchSite, transient_5pct());
-    runtime::Generator gen(config);
-    gen.begin(kPrompts, kGenLen);
-    while (gen.step_index() < kGenLen / 2) gen.step();
-    EXPECT_GT(gen.snapshot(file.path), 0u);
-  }  // the "crash": generator and fault-injector state die with the scope
-
-  {
-    util::ScopedFaultInjection chaos(2024);
-    chaos.arm(kFetchSite, transient_5pct());
-    runtime::Generator gen(config);
-    gen.resume(file.path);
-    EXPECT_EQ(gen.step_index(), kGenLen / 2);
-    while (!gen.done()) gen.step();
-    EXPECT_EQ(gen.finish().tokens, reference);
-  }
+  chaos::Drill drill = *chaos::find("kill-resume");
+  drill.config.runtime = config;
+  drill.config.prompts = kPrompts;
+  drill.config.gen_len = kGenLen;
+  std::ostringstream out;
+  EXPECT_EQ(chaos::run(drill, out), 0) << out.str();
 }
 
 TEST(GeneratorCkpt, KillResumeIsDeterministicDense) {

@@ -10,9 +10,11 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "lmo/chaos/drill.hpp"
 #include "lmo/ckpt/binary_io.hpp"
 #include "lmo/hw/platform.hpp"
 #include "lmo/integrity/integrity.hpp"
@@ -357,53 +359,19 @@ TEST(KVIntegrity, FlippedRowThrowsUnderAlwaysAndPropagatesUnderOff) {
 
 // -- end-to-end Generator repair -------------------------------------------
 
+/// The bitflip drill's runtime: every layer streams through the fetch
+/// path, single-threaded, verify=always with 8 repair attempts.
 runtime::RuntimeConfig tiny_integrity_config() {
-  runtime::RuntimeConfig config;
-  config.spec = model::ModelSpec::tiny(4, 64, 4, 128);
-  config.weight_bits = 8;
-  config.quant_group = 32;
-  config.device_layers = 0;  // every layer streams through the fetch path
-  config.prefetch_threads = 0;
-  config.compute_threads = 0;
-  config.recovery.retry_backoff_seconds = 1e-5;
-  config.integrity.policy = integrity::VerifyPolicy::kAlways;
-  config.integrity.max_repair_attempts = 8;
-  return config;
+  return chaos::find("bitflip")->config.runtime;
 }
 
 TEST(GeneratorIntegrity, RepairsFlipsToByteIdenticalTokens) {
-  const auto config = tiny_integrity_config();
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3, 4}};
-  const std::int64_t gen_len = 8;
-
-  std::vector<std::vector<std::int64_t>> clean;
-  {
-    runtime::Generator gen(config);
-    clean = gen.generate(prompts, gen_len).tokens;
-  }
-
-  util::ScopedFaultInjection chaos(2024);
-  util::FaultSpec weights_spec;
-  weights_spec.flip_probability = 0.05;
-  util::FaultSpec kv_spec;
-  kv_spec.flip_probability = 0.005;
-  chaos.arm("integrity.weights.flip", weights_spec);
-  chaos.arm("integrity.kv.flip", kv_spec);
-
-  runtime::Generator gen(config);
-  const auto chaotic = gen.generate(prompts, gen_len).tokens;
-  EXPECT_EQ(chaotic, clean);
-
-  const auto fired =
-      chaos.count("integrity.weights.flip", util::FaultKind::kBitFlip) +
-      chaos.count("integrity.kv.flip", util::FaultKind::kBitFlip);
-  ASSERT_GT(fired, 0u) << "drill did not exercise the integrity path";
-  auto& metrics = gen.manager().metrics();
-  EXPECT_EQ(metrics.counter("integrity.verify.failures").value(), fired);
-  EXPECT_EQ(metrics.counter("integrity.repair.refetch").value() +
-                metrics.counter("integrity.repair.recompute").value(),
-            fired);
-  EXPECT_EQ(metrics.counter("integrity.unrepairable").value(), 0u);
+  // The bitflip chaos drill: every seeded flip detected and repaired on the
+  // right ladder rung, tokens identical to a clean run.
+  chaos::Drill drill = *chaos::find("bitflip");
+  drill.config.gen_len = 8;
+  std::ostringstream out;
+  EXPECT_EQ(chaos::run(drill, out), 0) << out.str();
 }
 
 TEST(GeneratorIntegrity, RepairsWindowedKVFlipsToTheCleanCache) {

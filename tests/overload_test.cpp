@@ -9,9 +9,11 @@
 
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "lmo/chaos/drill.hpp"
 #include "lmo/kvshare/prefix_cache.hpp"
 #include "lmo/overload/admission.hpp"
 #include "lmo/overload/ladder.hpp"
@@ -495,42 +497,6 @@ TEST(BurstWorkload, ValidatesProfile) {
 
 // -- serving integration ---------------------------------------------------
 
-serve::ServeConfig overload_serve_config() {
-  serve::ServeConfig config;
-  config.max_batch = 8;
-  config.deadline_seconds = 30.0;
-  config.admission = AdmissionPolicy::kDeadlineShed;
-  config.max_queue = 24;
-  config.overload.enabled = true;
-  config.overload.kv_pool_bytes = std::size_t{10240} << 10;
-  return config;
-}
-
-perfmodel::Policy resident_policy() {
-  perfmodel::Policy policy;
-  policy.weights_on_gpu = 1.0;
-  policy.attention_on_cpu = false;
-  policy.activations_on_gpu = 1.0;
-  policy.weight_bits = 4;
-  policy.kv_bits = 8;
-  policy.parallelism_control = true;
-  return policy;
-}
-
-std::vector<serve::Request> burst_requests(std::int64_t count = 140) {
-  serve::BurstProfile profile;
-  profile.base.arrival_rate = 0.5;
-  profile.base.prompt_mean = 64;
-  profile.base.gen_mean = 48;
-  profile.base.gen_max = 128;
-  profile.burst_rate = 8.0;
-  profile.burst_start = 10.0;
-  profile.burst_duration = 30.0;
-  profile.ramp_seconds = 5.0;
-  profile.num_priorities = 3;
-  return serve::generate_burst_requests(profile, count, 42);
-}
-
 TEST(ServeOverload, ValidatesConfig) {
   const auto spec = model::ModelSpec::opt_13b();
   serve::ServeConfig config;
@@ -582,59 +548,23 @@ TEST(ServeOverload, ValidatesConfig) {
 }
 
 TEST(ServeOverload, DegradedRunIsDeterministicAndNeverThrows) {
-  const auto spec = model::ModelSpec::opt_13b();
-  const auto platform = hw::Platform::a100_single();
-  const auto requests = burst_requests();
-  const auto config = overload_serve_config();
-
-  const auto run = [&](std::string* metrics_json, std::string* trace_json) {
-    telemetry::MetricsRegistry reg;
-    telemetry::TraceRecorder rec;
-    rec.enable();
-    // The whole point: a pool-overrunning workload degrades, it does not
-    // escape as util::ResourceExhausted.
-    const auto m = serve::simulate_serving(spec, resident_policy(), platform,
-                                           requests, config, &reg, &rec);
-    *metrics_json = reg.snapshot().to_json();
-    *trace_json = rec.to_json();
-    return m;
-  };
-
-  std::string metrics_a, trace_a, metrics_b, trace_b;
-  const auto m = run(&metrics_a, &trace_a);
-  run(&metrics_b, &trace_b);
-  EXPECT_EQ(metrics_a, metrics_b);
-  EXPECT_EQ(trace_a, trace_b);
-
-  // The drill actually degraded — and still served work.
-  EXPECT_GT(m.overload_escalations, 0u);
-  EXPECT_GT(m.overload_deescalations, 0u);
-  EXPECT_GT(m.shed + m.rejected, 0u);
-  EXPECT_GT(m.completed, 0u);
-  EXPECT_GT(m.request_goodput, 0.0);
-
-  // Every shed request has a typed outcome; accounting adds up.
-  std::size_t shed_outcomes = 0;
-  for (const auto& outcome : m.outcomes) {
-    if (outcome.shed) {
-      ++shed_outcomes;
-      EXPECT_FALSE(outcome.completed);
-      EXPECT_FALSE(outcome.met_deadline);
-    }
-  }
-  EXPECT_EQ(shed_outcomes, m.shed + m.rejected);
+  // The overload chaos drill on this suite's burst seed: a pool-overrunning
+  // workload degrades instead of escaping as util::ResourceExhausted, walks
+  // the ladder both ways, sheds with typed outcomes, still serves work, and
+  // repeats byte for byte.
+  chaos::Drill drill = *chaos::find("overload");
+  drill.config.seed = 42;
+  std::ostringstream out;
+  EXPECT_EQ(chaos::run(drill, out), 0) << out.str();
 }
 
 TEST(ServeOverload, DeadlineShedBeatsFifoRejectOnGoodput) {
-  const auto spec = model::ModelSpec::opt_13b();
-  const auto platform = hw::Platform::a100_single();
-  const auto requests = burst_requests();
-
-  const auto run = [&](AdmissionPolicy admission) {
-    auto config = overload_serve_config();
+  const auto s = chaos::burst_scenario(42);
+  const auto run = [&s](AdmissionPolicy admission) {
+    auto config = s.config;
     config.admission = admission;
-    return serve::simulate_serving(spec, resident_policy(), platform,
-                                   requests, config);
+    return serve::simulate_serving(s.spec, s.policy, s.platform, s.requests,
+                                   config);
   };
   const auto shed = run(AdmissionPolicy::kDeadlineShed);
   const auto fifo = run(AdmissionPolicy::kFifoReject);
@@ -644,16 +574,12 @@ TEST(ServeOverload, DeadlineShedBeatsFifoRejectOnGoodput) {
 }
 
 TEST(ServeOverload, LadderMetricsAndSpansAreTyped) {
-  const auto spec = model::ModelSpec::opt_13b();
-  const auto platform = hw::Platform::a100_single();
-  const auto requests = burst_requests();
-  const auto config = overload_serve_config();
-
+  const auto s = chaos::burst_scenario(42);
   telemetry::MetricsRegistry reg;
   telemetry::TraceRecorder rec;
   rec.enable();
-  const auto m = serve::simulate_serving(spec, resident_policy(), platform,
-                                         requests, config, &reg, &rec);
+  const auto m = serve::simulate_serving(s.spec, s.policy, s.platform,
+                                         s.requests, s.config, &reg, &rec);
 
   // Registry is the source of truth for the overload vocabulary.
   EXPECT_EQ(reg.counter("overload.escalations").value(),
@@ -681,15 +607,14 @@ TEST(ServeOverload, LadderMetricsAndSpansAreTyped) {
 }
 
 TEST(ServeOverload, UnboundedLegacyConfigReportsNoOverloadActivity) {
-  const auto spec = model::ModelSpec::opt_13b();
-  const auto platform = hw::Platform::a100_single();
+  const auto s = chaos::burst_scenario(42);
   serve::RequestProfile profile;
   profile.arrival_rate = 2.0;
   const auto requests = serve::generate_requests(profile, 40, 42);
   serve::ServeConfig config;
   config.max_batch = 16;
-  const auto m = serve::simulate_serving(spec, resident_policy(), platform,
-                                         requests, config);
+  const auto m =
+      serve::simulate_serving(s.spec, s.policy, s.platform, requests, config);
   EXPECT_EQ(m.shed, 0u);
   EXPECT_EQ(m.rejected, 0u);
   EXPECT_EQ(m.overload_escalations, 0u);
@@ -701,9 +626,7 @@ TEST(ServeOverload, UnboundedLegacyConfigReportsNoOverloadActivity) {
 TEST(ServeOverload, AbortStormReleasesEveryPinLease) {
   // Satellite: deadline aborts + retries + prefix sharing must never leak
   // a pin lease — kvshare.pinned returns to zero when the run drains.
-  const auto spec = model::ModelSpec::opt_13b();
-  const auto platform = hw::Platform::a100_single();
-
+  const auto s = chaos::burst_scenario(42);
   serve::SharedPrefixProfile profile;
   profile.base.arrival_rate = 6.0;
   profile.base.gen_mean = 48;
@@ -713,13 +636,13 @@ TEST(ServeOverload, AbortStormReleasesEveryPinLease) {
   const auto requests =
       serve::generate_shared_prefix_requests(profile, 80, 42);
 
-  auto config = overload_serve_config();
+  auto config = s.config;
   config.prefix_share = true;
   config.deadline_seconds = 10.0;  // tight: force an abort storm
   config.max_retries = 2;
 
   telemetry::MetricsRegistry reg;
-  const auto m = serve::simulate_serving(spec, resident_policy(), platform,
+  const auto m = serve::simulate_serving(s.spec, s.policy, s.platform,
                                          requests, config, &reg);
   EXPECT_GT(m.deadline_misses + m.shed + m.rejected, 0u);
   EXPECT_EQ(reg.gauge("kvshare.pinned").value(), 0.0);

@@ -1,9 +1,12 @@
-// The kill -9 matrix: a forked child runs a supervised generation with a
-// crash-point fault armed (util::FaultInjector::maybe_crash -> SIGKILL) at
-// successive operation indices of every crash site on the offload path —
-// journal append, block write, fsync barrier, checkpoint publish. The
-// parent recovers each kill in-process from the on-disk state alone and
-// asserts byte-identical tokens and zero leaked blocks.
+// The kill -9 matrix: the crash chaos drill forks a child that runs a
+// supervised generation with a crash-point fault armed
+// (util::FaultInjector::maybe_crash -> SIGKILL) at successive operation
+// indices of every crash site on the offload path — journal append, block
+// write, fsync barrier, checkpoint publish. The parent recovers each kill
+// in-process from the on-disk state alone; the drill asserts byte-identical
+// tokens, one recovery per kill and zero leaked blocks. This suite runs it
+// on a smaller model with a tighter checkpoint cadence, and crashes a
+// recovered run a second time.
 //
 // The configs run with prefetch_threads == 0 and compute_threads == 0:
 // the child is forked, and fork() of a multithreaded process may deadlock
@@ -14,16 +17,18 @@
 
 #include <csignal>
 #include <cstdint>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "lmo/chaos/drill.hpp"
 #include "lmo/ckpt/format.hpp"
 #include "lmo/recover/recovery_manager.hpp"
 #include "lmo/recover/wal.hpp"
 #include "lmo/runtime/generator.hpp"
-#include "lmo/store/block_store.hpp"
 #include "lmo/util/fault.hpp"
 #include "lmo/util/tempdir.hpp"
 
@@ -62,12 +67,12 @@ std::vector<std::vector<std::int64_t>> supervised_run(
   return gen->finish().tokens;
 }
 
-/// Fork a child that re-runs the supervised generation with SIGKILL armed
-/// at check `at` of `site`. Returns the child's wait status.
-int run_child_with_crash(const std::string& dir,
-                         const runtime::RuntimeConfig& config,
-                         const std::string& site, std::int64_t at,
-                         std::uint64_t seed) {
+/// Forks a child that runs `body` under a fresh injector with SIGKILL
+/// armed at crash check `at` of `site`. Returns the child's wait status:
+/// exit 0 when the schedule never fired, 3 when `body` threw.
+int run_child_with_crash(const std::string& site, std::int64_t at,
+                         std::uint64_t seed,
+                         const std::function<void()>& body) {
   std::fflush(stdout);
   std::fflush(stderr);
   const pid_t pid = ::fork();
@@ -77,11 +82,11 @@ int run_child_with_crash(const std::string& dir,
     spec.crash_at_op = at;
     chaos.arm(site, spec);
     try {
-      supervised_run(dir, config);
+      body();
     } catch (...) {
       ::_exit(3);
     }
-    ::_exit(0);  // the schedule never fired
+    ::_exit(0);
   }
   EXPECT_GT(pid, 0) << "fork failed";
   int status = 0;
@@ -90,62 +95,13 @@ int run_child_with_crash(const std::string& dir,
 }
 
 TEST(CrashMatrix, EveryCrashSiteRecoversByteIdentically) {
-  const auto config = drill_config();
-  const std::uint64_t seed = 2024;
-
-  util::TempDir ref_dir("recover_crash");
-  const auto reference = supervised_run(ref_dir.path(), config);
-
-  const std::vector<std::string> sites = {
-      recover::kJournalAppendSite,
-      store::BlockStore::kWriteSite,
-      recover::kJournalFsyncSite,
-      ckpt::kPublishSite,
-  };
-  constexpr int kMaxOpsPerSite = 3;
-
-  util::TempDir dir("recover_crash");
-  int kills = 0;
-  for (const std::string& site : sites) {
-    bool site_fired = false;
-    for (int at = 0; at < kMaxOpsPerSite; ++at) {
-      const int status =
-          run_child_with_crash(dir.path(), config, site, at, seed);
-      if (WIFEXITED(status) && WEXITSTATUS(status) == 0) break;  // site done
-      ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
-          << site << " op " << at << ": unexpected child status " << status;
-      site_fired = true;
-      ++kills;
-
-      // Recover from the on-disk state alone. A kill before the first
-      // checkpoint legitimately recovers unresumed — the run then begins
-      // from scratch, and determinism makes the tokens identical anyway.
-      recover::RecoveryManager manager({dir.path(), kCkptInterval});
-      recover::RecoveredSession session = manager.recover(&config);
-      ASSERT_NE(session.generator, nullptr) << site << " op " << at;
-      runtime::Generator& gen = *session.generator;
-      if (!session.resumed) gen.begin(kPrompts, kGenLen);
-      while (!gen.done()) {
-        gen.step();
-        manager.note_step(gen);
-      }
-      EXPECT_EQ(gen.finish().tokens, reference)
-          << site << " op " << at << ": recovered tokens diverged";
-
-      // Zero leaked blocks: after adoption + sweep, everything in use is
-      // reachable through a committed keyed entry.
-      auto& metrics = session.generator->manager().metrics();
-      EXPECT_EQ(metrics.counter("recover.recoveries").value(), 1u)
-          << site << " op " << at;
-      store::BlockStore* store = session.generator->spill_store();
-      ASSERT_NE(store, nullptr);
-      EXPECT_EQ(store->release_unclaimed(), 0u)
-          << site << " op " << at << ": leaked unclaimed entries";
-    }
-    EXPECT_TRUE(site_fired) << site << ": crash schedule never fired — "
-                            << "the drill is vacuous for this site";
-  }
-  EXPECT_GT(kills, 0);
+  chaos::Drill drill = *chaos::find("crash");
+  drill.config.runtime = drill_config();
+  drill.config.prompts = kPrompts;
+  drill.config.gen_len = kGenLen;
+  drill.config.checkpoint_interval = kCkptInterval;
+  std::ostringstream out;
+  EXPECT_EQ(chaos::run(drill, out), 0) << out.str();
 }
 
 TEST(CrashMatrix, RepeatedCrashesAcrossRecoveriesStillConverge) {
@@ -157,51 +113,32 @@ TEST(CrashMatrix, RepeatedCrashesAcrossRecoveriesStillConverge) {
   const auto reference = supervised_run(ref_dir.path(), config);
 
   util::TempDir dir("recover_crash");
-  int status = run_child_with_crash(dir.path(), config,
-                                    ckpt::kPublishSite, 1, 7);
+  int status = run_child_with_crash(ckpt::kPublishSite, 1, 7, [&] {
+    supervised_run(dir.path(), config);
+  });
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
-  // Second incarnation: recovered in a child, killed again mid-journal.
-  {
-    std::fflush(stdout);
-    std::fflush(stderr);
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      util::ScopedFaultInjection chaos(8);
-      util::FaultSpec spec;
-      spec.crash_at_op = 0;
-      chaos.arm(recover::kJournalAppendSite, spec);
-      try {
-        recover::RecoveryManager manager({dir.path(), kCkptInterval});
-        auto session = manager.recover(&config);
-        runtime::Generator& gen = *session.generator;
-        if (!session.resumed) gen.begin(kPrompts, kGenLen);
-        while (!gen.done()) {
-          gen.step();
-          manager.note_step(gen);
-        }
-        gen.finish();
-      } catch (...) {
-        ::_exit(3);
-      }
-      ::_exit(0);
+  // Recover from `dir` and run to completion under supervision.
+  const auto recover_and_finish = [&] {
+    recover::RecoveryManager manager({dir.path(), kCkptInterval});
+    recover::RecoveredSession session = manager.recover(&config);
+    runtime::Generator& gen = *session.generator;
+    if (!session.resumed) gen.begin(kPrompts, kGenLen);
+    while (!gen.done()) {
+      gen.step();
+      manager.note_step(gen);
     }
-    ASSERT_GT(pid, 0);
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
-        << "second crash never fired (status " << status << ")";
-  }
+    return gen.finish().tokens;
+  };
+
+  // Second incarnation: recovered in a child, killed again mid-journal.
+  status = run_child_with_crash(recover::kJournalAppendSite, 0, 8,
+                                recover_and_finish);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+      << "second crash never fired (status " << status << ")";
 
   // Third incarnation recovers and finishes.
-  recover::RecoveryManager manager({dir.path(), kCkptInterval});
-  recover::RecoveredSession session = manager.recover(&config);
-  runtime::Generator& gen = *session.generator;
-  if (!session.resumed) gen.begin(kPrompts, kGenLen);
-  while (!gen.done()) {
-    gen.step();
-    manager.note_step(gen);
-  }
-  EXPECT_EQ(gen.finish().tokens, reference);
+  EXPECT_EQ(recover_and_finish(), reference);
 }
 
 }  // namespace
