@@ -1,6 +1,7 @@
 // Micro-benchmarks of the tensor compute kernels the real runtime uses:
-// naive vs cache-blocked GEMM across shapes, plus softmax / layernorm /
-// activation throughput.
+// matmul_nt at the decode and prefill shapes of the perfbench models
+// (h = 128 and 192, vocab 4096), plus softmax / layernorm / activation
+// throughput.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -17,29 +18,33 @@ Tensor make(std::int64_t rows, std::int64_t cols, std::uint64_t seed) {
   return Tensor::uniform({rows, cols}, rng);
 }
 
-void BM_MatmulNtNaive(benchmark::State& state) {
-  const auto n = state.range(0);
-  const Tensor a = make(n, n, 1);
-  const Tensor b = make(n, n, 2);
+// Args are {m, k, n}: m activation rows times an [n, k] weight.
+void BM_MatmulNt(benchmark::State& state) {
+  const auto m = state.range(0);
+  const auto k = state.range(1);
+  const auto n = state.range(2);
+  const Tensor a = make(m, k, 1);
+  const Tensor b = make(n, k, 2);
   for (auto _ : state) {
     auto c = tensor::matmul_nt(a, b);
     benchmark::DoNotOptimize(c.raw().data());
   }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
-BENCHMARK(BM_MatmulNtNaive)->MinTime(0.05)->Arg(64)->Arg(256)->Arg(512);
 
-void BM_MatmulNtBlocked(benchmark::State& state) {
-  const auto n = state.range(0);
-  const Tensor a = make(n, n, 1);
-  const Tensor b = make(n, n, 2);
-  for (auto _ : state) {
-    auto c = tensor::matmul_nt_blocked(a, b, 64);
-    benchmark::DoNotOptimize(c.raw().data());
+void MatmulNtShapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"m", "k", "n"});
+  for (const std::int64_t h : {128, 192}) {
+    for (const std::int64_t m : {1, 2}) {
+      b->Args({m, h, h});          // q/k/v/out projections
+      b->Args({m, h, 4 * h});      // MLP up
+      b->Args({m, 4 * h, h});      // MLP down
+      b->Args({m, h, 4096});       // LM head
+    }
   }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  b->Args({192, 128, 128});  // prefill of a 192-token prompt
 }
-BENCHMARK(BM_MatmulNtBlocked)->MinTime(0.05)->Arg(64)->Arg(256)->Arg(512);
+BENCHMARK(BM_MatmulNt)->MinTime(0.05)->Apply(MatmulNtShapes);
 
 void BM_Softmax(benchmark::State& state) {
   const Tensor a = make(256, 1024, 3);

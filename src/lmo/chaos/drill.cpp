@@ -64,14 +64,21 @@ void arm(const Drill& drill, util::ScopedFaultInjection& chaos) {
 }
 
 void record(const Drill& drill, runtime::Generator& gen, Outcome& out) {
-  const auto snapshot = gen.manager().metrics().snapshot();
+  auto snapshot = gen.manager().metrics().snapshot();
   for (const std::string& name : drill.counters) {
     const auto* sample = snapshot.find(name);
     out.counters[name] = sample != nullptr ? sample->count : 0;
   }
   out.metrics_json = snapshot.to_json();
+  // Wall-clock timings ("*.seconds") legitimately vary between reruns.
+  std::erase_if(snapshot.samples, [](const telemetry::MetricSample& s) {
+    return s.name.ends_with(".seconds");
+  });
+  out.stable_metrics_json = snapshot.to_json();
   for (const auto& e : util::FaultInjector::instance().events()) {
-    out.counters["fired " + e.site + " " + util::to_string(e.kind)] += 1;
+    const std::string fired = e.site + " " + util::to_string(e.kind);
+    out.counters["fired " + fired] += 1;
+    out.fault_log += fired + " " + std::to_string(e.site_op) + "\n";
   }
 }
 
@@ -243,6 +250,81 @@ Drill oom() {
                   on("chaos", "alloc failures fired == 2",
                      [](const Outcome& o) { return o.fired_total() == 2; }),
                   positive("chaos", "offload.degrade.steps")};
+  return d;
+}
+
+// -- retry-accounting ------------------------------------------------------
+
+/// 5% fetch faults plus a window of four stalled fetches (ops 10..13, a
+/// degraded-bandwidth burst) on a 2-layer model, run twice: every injected
+/// transient is retried, exactly, and the seeded rerun reproduces the
+/// fault log and every non-timing registry metric.
+Drill retry_accounting() {
+  Drill d = make("retry-accounting",
+                 "fetch faults and a latency window: exact retry accounting, "
+                 "identical seeded reruns");
+  runtime::RuntimeConfig& config = d.config.runtime;
+  config.spec = model::ModelSpec::tiny(2, 32, 4, 64);
+  config.quant_group = 16;
+  config.recovery.max_transfer_attempts = 4;
+  config.recovery.retry_backoff_seconds = 1e-6;
+  d.config.prompts = {{1, 2, 3}};
+  d.config.gen_len = 8;
+  util::FaultSpec spec = transient(0.05);
+  spec.window_begin = 10;
+  spec.window_end = 14;
+  spec.latency_seconds = 1e-4;
+  d.arms = {{kFetchSite, spec}};
+  const std::string retries = "offload.transfer.retries";
+  const std::string failures = "offload.transfer.failures";
+  const std::string fallbacks = "offload.fetch.sync_fallbacks";
+  const std::string transfers = "offload.transfer.total";
+  const std::string fired = std::string("fired ") + kFetchSite;
+  d.counters = {retries,
+                failures,
+                "offload.prefetch.failures",
+                fallbacks,
+                "offload.fetch.total",
+                "offload.fetch.device_hits",
+                "offload.fetch.staging_hits",
+                transfers};
+  d.runs = {clean("clean"), armed("chaos"), armed("chaos again")};
+  d.invariants = {
+      same_tokens("chaos", "clean"),
+      zero("clean", retries),
+      zero("clean", fallbacks),
+      on("chaos", retries + " + " + failures + " == " + fired + " transient",
+         [=](const Outcome& o) {
+           return o.counter(retries) + o.counter(failures) ==
+                  o.counter(fired + " transient");
+         }),
+      // The budget of 4 attempts is never exhausted at this rate.
+      zero("chaos", failures),
+      positive("chaos", retries),
+      on("chaos", fired + " latency == 4",
+         [=](const Outcome& o) { return o.counter(fired + " latency") == 4; }),
+      // No prefetch machinery is involved (prefetch_threads == 0).
+      zero("chaos", "offload.prefetch.failures"),
+      zero("chaos", fallbacks),
+      // Traffic is charged per successful transfer, exactly.
+      on("chaos", transfers + " == fetches - device hits - staging hits",
+         [=](const Outcome& o) {
+           return o.counter(transfers) ==
+                  o.counter("offload.fetch.total") -
+                      o.counter("offload.fetch.device_hits") -
+                      o.counter("offload.fetch.staging_hits");
+         }),
+      same_run("chaos", "chaos again"),
+      {"fault log identical (site, kind, op): chaos == chaos again",
+       [](const Outcomes& o) {
+         return o.at("chaos").fault_log == o.at("chaos again").fault_log;
+       }},
+      {kStableMetricsIdentical,
+       [](const Outcomes& o) {
+         return o.at("chaos").stable_metrics_json ==
+                o.at("chaos again").stable_metrics_json;
+       }},
+      faults_fired({"chaos"})};
   return d;
 }
 
@@ -772,6 +854,7 @@ const std::vector<Drill>& drills() {
       congested(),
       dead_prefetch(),
       oom(),
+      retry_accounting(),
       kill_resume(),
       windowed(kill_resume(), 8),
       shared_prefix(),

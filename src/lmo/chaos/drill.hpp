@@ -39,6 +39,11 @@ struct Outcome {
   /// record their trace JSON.
   std::string metrics_json;
   std::string trace_json;
+  /// Generation runs: the faults in firing order, one "site kind op" line
+  /// each, and the registry snapshot JSON without the wall-clock timings
+  /// (metrics named "*.seconds") — what a seeded rerun must reproduce.
+  std::string fault_log;
+  std::string stable_metrics_json;
 
   /// counters[name], or 0 when the run did not record it.
   double counter(const std::string& name) const;
@@ -93,6 +98,11 @@ struct Drill {
 /// The invariant every fault-armed drill carries: faults that never fired
 /// prove nothing.
 inline constexpr const char* kFaultsFired = "faults fired";
+
+/// The retry-accounting drill's invariant that its seeded rerun reproduces
+/// every registry metric except the wall-clock timings.
+inline constexpr const char* kStableMetricsIdentical =
+    "every non-timing registry metric identical: chaos == chaos again";
 
 /// Every drill, in table order.
 const std::vector<Drill>& drills();

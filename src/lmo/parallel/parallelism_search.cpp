@@ -12,15 +12,15 @@ namespace {
 
 constexpr int kReservedIoThreads = 5;  // Algorithm 3, line 7
 
-/// Per-op duration function combining the scaling model with optional
-/// measured profiles.
-std::function<double(const model::OpNode&)> make_op_seconds(
-    const ThreadScalingModel& scaling, int intra_threads,
-    int total_active_threads, const ProfileDB* profiles) {
-  return [&scaling, intra_threads, total_active_threads,
-          profiles](const model::OpNode& op) {
+/// Per-op duration the search and evaluate_parallelism share: a measured
+/// profile entry, corrected by the machine-wide contention factor, when the
+/// ProfileDB has one, else the analytic ThreadScalingModel curve.
+std::function<double(const model::OpNode&)> op_seconds_fn(
+    const SearchInput& input, int intra_threads, int total_active_threads,
+    const ProfileDB* profiles) {
+  return [scaling = ThreadScalingModel(input.platform.cpu), intra_threads,
+          total_active_threads, profiles](const model::OpNode& op) {
     if (profiles != nullptr && profiles->has(op.name, intra_threads)) {
-      // Measured solo time, corrected for machine-wide contention.
       return profiles->lookup(op.name, intra_threads) *
              scaling.contention_factor(total_active_threads);
     }
@@ -148,19 +148,6 @@ double schedule_compute_graph(
   return engine.run().makespan;
 }
 
-std::function<double(const model::OpNode&)> op_seconds_fn(
-    const SearchInput& input, int intra_threads, int total_active_threads,
-    const ProfileDB* profiles) {
-  return [scaling = ThreadScalingModel(input.platform.cpu), intra_threads,
-          total_active_threads, profiles](const model::OpNode& op) {
-    if (profiles != nullptr && profiles->has(op.name, intra_threads)) {
-      return profiles->lookup(op.name, intra_threads) *
-             scaling.contention_factor(total_active_threads);
-    }
-    return scaling.op_seconds(op, intra_threads, total_active_threads);
-  };
-}
-
 ParallelismPlan evaluate_parallelism(
     const SearchInput& input, int intra_op, int inter_op,
     const std::array<int, kNumIoTasks>& io_threads,
@@ -216,7 +203,6 @@ ParallelismPlan find_optimal_parallelism(const SearchInput& input,
   // PCIe stages and must not steal their lanes.
   const int reserved = kReservedIoThreads + disk_threads_needed(input);
   LMO_CHECK_GT(max_threads, reserved);
-  const ThreadScalingModel scaling(input.platform.cpu);
 
   ParallelismPlan best;
   double best_t_gen = 0.0;
@@ -224,7 +210,7 @@ ParallelismPlan find_optimal_parallelism(const SearchInput& input,
   for (int intra = 1; intra <= max_threads - reserved; ++intra) {
     // Line 4: inter-op from the graph's max concurrency level, bounded by
     // the budget that must leave five threads for the I/O tasks.
-    const auto solo = make_op_seconds(scaling, intra, intra, profiles);
+    const auto solo = op_seconds_fn(input, intra, intra, profiles);
     int inter = max_concurrency_timed(input.compute_graph, solo);
     inter = std::max(1, std::min(inter, (max_threads - reserved) / intra));
     const int free_threads =

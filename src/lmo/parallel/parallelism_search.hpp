@@ -85,14 +85,6 @@ double schedule_compute_graph(
     const model::OpGraph& graph, int inter_op,
     const std::function<double(const model::OpNode&)>& op_seconds);
 
-/// Per-op duration function the search and the adaptive controller share:
-/// a measured profile entry (corrected by the machine-wide contention
-/// factor) when the ProfileDB has one, else the analytic
-/// ThreadScalingModel curve. The returned function owns its model copy.
-std::function<double(const model::OpNode&)> op_seconds_fn(
-    const SearchInput& input, int intra_threads, int total_active_threads,
-    const ProfileDB* profiles = nullptr);
-
 /// Score one *fixed* thread allocation under `input` (Eq. 2 applied to the
 /// given configuration instead of searching for one). The adaptive
 /// controller re-costs the currently applied plan against re-calibrated

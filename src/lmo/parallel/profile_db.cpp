@@ -1,11 +1,6 @@
 #include "lmo/parallel/profile_db.hpp"
 
-#include <chrono>
-#include <cmath>
-#include <limits>
-
 #include "lmo/util/check.hpp"
-#include "lmo/util/stats.hpp"
 
 namespace lmo::parallel {
 
@@ -27,52 +22,6 @@ double ProfileDB::lookup(const std::string& op_name,
                 "no profile for op '" + op_name + "' at " +
                     std::to_string(intra_threads) + " threads");
   return it->second;
-}
-
-double ProfileDB::lookup_nearest(const std::string& op_name,
-                                 int intra_threads) const {
-  double best = 0.0;
-  int best_distance = std::numeric_limits<int>::max();
-  bool found = false;
-  for (const auto& [key, seconds] : table_) {
-    if (key.first != op_name) continue;
-    const int distance = std::abs(key.second - intra_threads);
-    if (distance < best_distance) {
-      best_distance = distance;
-      best = seconds;
-      found = true;
-    }
-  }
-  LMO_CHECK_MSG(found, "no profile at any thread count for op: " + op_name);
-  return best;
-}
-
-ProfileDB ProfileDB::from_scaling_model(const model::OpGraph& graph,
-                                        const ThreadScalingModel& model,
-                                        const std::vector<int>& thread_counts) {
-  ProfileDB db;
-  for (std::size_t i = 0; i < graph.size(); ++i) {
-    const auto& op = graph.node(static_cast<model::OpId>(i));
-    for (int threads : thread_counts) {
-      // Solo execution: total active threads = this op's threads.
-      db.record(op.name, threads, model.op_seconds(op, threads, threads));
-    }
-  }
-  return db;
-}
-
-void ProfileDB::measure(const std::string& op_name, int intra_threads,
-                        int repeats, const std::function<void()>& body) {
-  LMO_CHECK_GE(repeats, 1);
-  util::SampleSet samples;
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    body();
-    samples.add(std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count());
-  }
-  record(op_name, intra_threads, samples.median());
 }
 
 }  // namespace lmo::parallel

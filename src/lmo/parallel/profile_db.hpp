@@ -3,19 +3,16 @@
 // parallelism ... the profiling results are repeatedly used during the
 // online LLM inference").
 //
-// Keys are (op name, intra-op threads). Two fill paths:
-//   * from_scaling_model(): analytic fill for paper-scale experiments;
-//   * measure(): run a real workload closure repeatedly on a ThreadPool and
-//     record median wall time (used by the runtime at laptop scale).
+// Keys are (op name, intra-op threads). The table is filled at run time by
+// AdaptiveController::scaled_profiles(): the analytic per-op times scaled by
+// the compute/predicted ratio measured from the runtime's spans. The search
+// uses an entry in place of the analytic curve wherever one exists.
 #pragma once
 
-#include <functional>
+#include <cstddef>
 #include <map>
 #include <string>
-#include <vector>
-
-#include "lmo/model/opgraph.hpp"
-#include "lmo/parallel/scaling.hpp"
+#include <utility>
 
 namespace lmo::parallel {
 
@@ -28,21 +25,7 @@ class ProfileDB {
   /// Exact lookup; throws CheckError when missing.
   double lookup(const std::string& op_name, int intra_threads) const;
 
-  /// Lookup with fallback to the nearest profiled thread count.
-  double lookup_nearest(const std::string& op_name, int intra_threads) const;
-
   std::size_t size() const { return table_.size(); }
-
-  /// Fill from the analytic scaling model for every op in `graph` and every
-  /// thread count in `thread_counts` (assuming the op runs alone).
-  static ProfileDB from_scaling_model(const model::OpGraph& graph,
-                                      const ThreadScalingModel& model,
-                                      const std::vector<int>& thread_counts);
-
-  /// Measure `body` (already parameterized by thread count) `repeats` times
-  /// and record the median.
-  void measure(const std::string& op_name, int intra_threads, int repeats,
-               const std::function<void()>& body);
 
  private:
   std::map<std::pair<std::string, int>, double> table_;

@@ -12,8 +12,9 @@
 //      memory accesses become more often").
 //
 // The paper handles this with offline profiles; we provide the analytic
-// curve (calibrated to Fig. 5's shape) and a ProfileDB that can be filled
-// either from this model or from real measurements.
+// curve (calibrated to Fig. 5's shape). Measured compute time reaches the
+// search through the adaptive controller's ProfileDB overlay, which scales
+// this curve by the runtime's measured/predicted ratio.
 #pragma once
 
 #include "lmo/hw/platform.hpp"

@@ -58,17 +58,24 @@ WalManifest::WalManifest(const std::string& path, OpenMode mode)
   fd_ = ::open(path.c_str(), flags, 0644);
   LMO_CHECK_MSG(fd_ >= 0, "WalManifest: cannot open " + path + ": " +
                               std::strerror(errno));
-  const off_t size = ::lseek(fd_, 0, SEEK_END);
-  LMO_CHECK_MSG(size >= 0, "WalManifest: lseek(" + path + ") failed");
-  if (static_cast<std::size_t>(size) < kFileHeaderBytes) {
-    // Fresh (or header-torn) journal: stamp the header and start clean. A
-    // torn header means no barrier ever completed, so nothing is lost.
-    LMO_CHECK_MSG(::ftruncate(fd_, 0) == 0,
-                  "WalManifest: ftruncate(" + path + ") failed");
-    LMO_CHECK_MSG(::lseek(fd_, 0, SEEK_SET) == 0,
-                  "WalManifest: lseek(" + path + ") failed");
-    util::write_all(fd_, file_header(), path_);
-    util::fsync_fd(fd_, path_);
+  // A throwing constructor never runs the destructor: close fd_ here.
+  try {
+    const off_t size = ::lseek(fd_, 0, SEEK_END);
+    LMO_CHECK_MSG(size >= 0, "WalManifest: lseek(" + path + ") failed");
+    if (static_cast<std::size_t>(size) < kFileHeaderBytes) {
+      // Fresh (or header-torn) journal: stamp the header and start clean. A
+      // torn header means no barrier ever completed, so nothing is lost.
+      LMO_CHECK_MSG(::ftruncate(fd_, 0) == 0,
+                    "WalManifest: ftruncate(" + path + ") failed");
+      LMO_CHECK_MSG(::lseek(fd_, 0, SEEK_SET) == 0,
+                    "WalManifest: lseek(" + path + ") failed");
+      util::write_all(fd_, file_header(), path_);
+      util::fsync_fd(fd_, path_);
+    }
+  } catch (...) {
+    ::close(fd_);
+    fd_ = -1;
+    throw;
   }
 }
 

@@ -130,9 +130,9 @@ Tensor Transformer::attention(const LayerWeights& w, const Tensor& x,
   Tensor q, k, v;
   {
     const auto span = task_span("compute");
-    q = tensor::matmul_nt_blocked(x, w.wq);
-    k = tensor::matmul_nt_blocked(x, w.wk);
-    v = tensor::matmul_nt_blocked(x, w.wv);
+    q = tensor::matmul_nt(x, w.wq);
+    k = tensor::matmul_nt(x, w.wk);
+    v = tensor::matmul_nt(x, w.wv);
   }
 
   // Append the new positions to the cache (quantized at rest if enabled).
@@ -215,7 +215,7 @@ Tensor Transformer::attention(const LayerWeights& w, const Tensor& x,
     }
     for (auto& f : pending) f.get();
   }
-  return tensor::matmul_nt_blocked(out, w.wo);
+  return tensor::matmul_nt(out, w.wo);
 }
 
 Tensor Transformer::layer_forward(const LayerWeights& w, const Tensor& x,
@@ -228,7 +228,7 @@ Tensor Transformer::layer_forward(const LayerWeights& w, const Tensor& x,
   // Pre-LN MLP block with the model family's non-linearity.
   const auto mlp_span = task_span("compute");
   const Tensor normed2 = tensor::layer_norm(mid, w.ln2_gamma, w.ln2_beta);
-  const Tensor pre = tensor::matmul_nt_blocked(normed2, w.w1);
+  const Tensor pre = tensor::matmul_nt(normed2, w.w1);
   Tensor up;
   switch (spec_.activation) {
     case model::Activation::kGelu:
@@ -241,7 +241,7 @@ Tensor Transformer::layer_forward(const LayerWeights& w, const Tensor& x,
       up = tensor::silu(pre);
       break;
   }
-  const Tensor down = tensor::matmul_nt_blocked(up, w.w2);
+  const Tensor down = tensor::matmul_nt(up, w.w2);
   return tensor::add(mid, down);
 }
 
@@ -270,7 +270,7 @@ Tensor Transformer::logits(const Tensor& state) {
   const std::int64_t rows = state.shape()[0];
   const Tensor last = tensor::slice_rows(state, rows - 1, rows);
   const Tensor normed = tensor::layer_norm(last, lnf_gamma_, lnf_beta_);
-  return tensor::matmul_nt_blocked(normed, embedding_).reshaped({spec_.vocab});
+  return tensor::matmul_nt(normed, embedding_).reshaped({spec_.vocab});
 }
 
 }  // namespace lmo::runtime

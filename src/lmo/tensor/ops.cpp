@@ -1,5 +1,6 @@
 #include "lmo/tensor/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -50,6 +51,9 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   const std::int64_t k = a.shape()[1];
   LMO_CHECK_EQ(b.shape()[1], k);
   const std::int64_t n = b.shape()[0];
+  // Width of the k-chunks summed separately before they are added up. It
+  // fixes the rounding order (pinned by kv_golden_test), not a tile size.
+  constexpr std::int64_t kChunk = 64;
 
   Tensor c = Tensor::zeros({m, n});
   auto pa = a.f32();
@@ -59,49 +63,16 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
     const float* arow = pa.data() + i * k;
     for (std::int64_t j = 0; j < n; ++j) {
       const float* brow = pb.data() + j * k;
-      float acc = 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        acc += arow[kk] * brow[kk];
-      }
-      pc[static_cast<std::size_t>(i * n + j)] = acc;
-    }
-  }
-  return c;
-}
-
-Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b,
-                         std::int64_t block) {
-  require_rank2(a, "matmul_nt_blocked lhs");
-  require_rank2(b, "matmul_nt_blocked rhs");
-  LMO_CHECK_GT(block, 0);
-  const std::int64_t m = a.shape()[0];
-  const std::int64_t k = a.shape()[1];
-  LMO_CHECK_EQ(b.shape()[1], k);
-  const std::int64_t n = b.shape()[0];
-
-  Tensor c = Tensor::zeros({m, n});
-  auto pa = a.f32();
-  auto pb = b.f32();
-  auto pc = c.f32();
-  for (std::int64_t i0 = 0; i0 < m; i0 += block) {
-    const std::int64_t i1 = std::min(i0 + block, m);
-    for (std::int64_t j0 = 0; j0 < n; j0 += block) {
-      const std::int64_t j1 = std::min(j0 + block, n);
-      for (std::int64_t k0 = 0; k0 < k; k0 += block) {
-        const std::int64_t k1 = std::min(k0 + block, k);
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const float* arow = pa.data() + i * k;
-          float* crow = pc.data() + i * n;
-          for (std::int64_t j = j0; j < j1; ++j) {
-            const float* brow = pb.data() + j * k;
-            float acc = 0.0f;
-            for (std::int64_t kk = k0; kk < k1; ++kk) {
-              acc += arow[kk] * brow[kk];
-            }
-            crow[j] += acc;
-          }
+      float sum = 0.0f;
+      for (std::int64_t k0 = 0; k0 < k; k0 += kChunk) {
+        const std::int64_t k1 = std::min(k0 + kChunk, k);
+        float acc = 0.0f;
+        for (std::int64_t kk = k0; kk < k1; ++kk) {
+          acc += arow[kk] * brow[kk];
         }
+        sum += acc;
       }
+      pc[static_cast<std::size_t>(i * n + j)] = sum;
     }
   }
   return c;

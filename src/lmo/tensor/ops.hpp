@@ -13,14 +13,10 @@ namespace lmo::tensor {
 Tensor matmul(const Tensor& a, const Tensor& b);
 
 /// C[m,n] = A[m,k] · Bᵀ where B is [n,k] (projection with row-major weights).
+/// Each C[i,j] sums k in 64-wide chunks: every chunk's products are summed
+/// into a fresh partial, and the partials are added in k order. That order
+/// is fixed; kv_golden_test pins the logits it produces.
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
-
-/// Cache-blocked variant of matmul_nt: identical result, tiled i/j/k loops
-/// sized to keep the working set in L1/L2. `block` is the tile edge in
-/// elements. The runtime uses this for projection GEMMs once matrices
-/// exceed the cache.
-Tensor matmul_nt_blocked(const Tensor& a, const Tensor& b,
-                         std::int64_t block = 64);
 
 /// out = a + b, elementwise, matching shapes.
 Tensor add(const Tensor& a, const Tensor& b);

@@ -4,8 +4,11 @@
 // keyed payload adoption, and in-process end-to-end recovery of a
 // supervised generation. The fork/SIGKILL matrix lives in
 // recover_crash_test.cpp; this file stays single-process.
+#include <sys/stat.h>
+
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -71,6 +74,30 @@ struct JournaledStore {
   std::string wal_path;
   store::BlockStore store;
 };
+
+std::size_t open_descriptor_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+// ----------------------------------------------------------- manifest --
+
+TEST(WalManifest, FailedOpenClosesItsDescriptor) {
+  // open(O_RDWR) succeeds on a FIFO but lseek fails with ESPIPE, so the
+  // constructor throws after it already holds a descriptor.
+  util::TempDir dir("recover_test");
+  const std::string fifo = dir.file("journal.fifo");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const std::size_t before = open_descriptor_count();
+  EXPECT_THROW(recover::WalManifest(fifo,
+                                    recover::WalManifest::OpenMode::kAppend),
+               util::CheckError);
+  EXPECT_EQ(open_descriptor_count(), before);
+}
 
 // ------------------------------------------------------------- replay --
 

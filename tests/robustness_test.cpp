@@ -5,10 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <sstream>
 #include <thread>
 
+#include "lmo/chaos/drill.hpp"
 #include "lmo/parallel/threadpool.hpp"
-#include "lmo/runtime/generator.hpp"
 #include "lmo/runtime/mempool.hpp"
 #include "lmo/runtime/offload_manager.hpp"
 #include "lmo/sim/engine.hpp"
@@ -22,23 +23,12 @@ namespace {
 
 using tensor::Tensor;
 using util::CheckError;
-using util::FaultKind;
 using util::FaultSpec;
 using util::ScopedFaultInjection;
 using util::TransferError;
 
 constexpr const char* kFetchSite = "offload.fetch.transfer";
 constexpr const char* kPrefetchSite = "offload.prefetch.transfer";
-
-RuntimeConfig tiny_config(int weight_bits = 8) {
-  RuntimeConfig config;
-  config.spec = model::ModelSpec::tiny(2, 32, 4, 64);
-  config.weight_bits = weight_bits;
-  config.quant_group = 16;
-  config.device_layers = 0;  // every weight streams host -> device
-  config.prefetch_threads = 0;
-  return config;
-}
 
 RecoveryConfig fast_recovery(int attempts = 4) {
   RecoveryConfig r;
@@ -52,69 +42,12 @@ RecoveryConfig fast_recovery(int attempts = 4) {
 // The acceptance test of the robustness layer: a seeded 5% transient
 // transfer-failure rate plus one bandwidth-degradation window produce
 // byte-identical tokens to the fault-free run, complete without throwing,
-// and every recovery action in OffloadStats matches the injector's trigger
-// log exactly.
+// and every recovery action matches the injector's trigger log exactly.
+// The body is the retry-accounting drill of the lmo/chaos table.
 TEST(Chaos, DeterministicUnderTransientFaultsAndLatencyWindow) {
-  const std::vector<std::vector<std::int64_t>> prompts = {{1, 2, 3}};
-  const std::int64_t gen_len = 8;
-
-  Generator clean(tiny_config());
-  const auto r_clean = clean.generate(prompts, gen_len);
-  EXPECT_EQ(r_clean.offload.transfer_retries, 0u);
-  EXPECT_EQ(r_clean.offload.sync_fallbacks, 0u);
-
-  OffloadStats first_stats;
-  std::vector<std::vector<std::int64_t>> first_tokens;
-  std::vector<util::FaultEvent> first_events;
-  for (int run = 0; run < 2; ++run) {
-    ScopedFaultInjection chaos(2024);
-    FaultSpec spec;
-    spec.fail_probability = 0.05;
-    spec.window_begin = 10;  // ops 10..13 stall: a degraded-bandwidth burst
-    spec.window_end = 14;
-    spec.latency_seconds = 1e-4;
-    chaos.arm(kFetchSite, spec);
-
-    RuntimeConfig config = tiny_config();
-    config.recovery = fast_recovery();
-    Generator faulted(config);
-    const auto r = faulted.generate(prompts, gen_len);
-
-    // Faults perturb timing, never results.
-    EXPECT_EQ(r.tokens, r_clean.tokens);
-
-    // Exact accounting: every injected transient was either retried or
-    // (after budget exhaustion) surfaced — none silently dropped.
-    const auto& s = r.offload;
-    EXPECT_EQ(s.transfer_retries + s.transfer_failures,
-              chaos.count(kFetchSite, FaultKind::kTransient));
-    EXPECT_EQ(s.transfer_failures, 0u);  // budget of 4 never exhausted here
-    EXPECT_GT(s.transfer_retries, 0u);   // the profile does fire
-    EXPECT_EQ(chaos.count(kFetchSite, FaultKind::kLatency), 4u);
-    // No prefetch machinery involved (prefetch_threads == 0).
-    EXPECT_EQ(s.prefetch_failures, 0u);
-    EXPECT_EQ(s.sync_fallbacks, 0u);
-    // Traffic is charged per successful transfer, exactly.
-    EXPECT_EQ(s.host_transfers, s.fetches - s.device_hits - s.staging_hits);
-
-    if (run == 0) {
-      first_stats = s;
-      first_tokens = r.tokens;
-      first_events = chaos.events();
-    } else {
-      // Same seed, same run: identical tokens, events and counters.
-      EXPECT_EQ(r.tokens, first_tokens);
-      EXPECT_EQ(s.transfer_retries, first_stats.transfer_retries);
-      EXPECT_EQ(s.bytes_host_to_device, first_stats.bytes_host_to_device);
-      const auto events = chaos.events();
-      ASSERT_EQ(events.size(), first_events.size());
-      for (std::size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(events[i].site, first_events[i].site);
-        EXPECT_EQ(events[i].kind, first_events[i].kind);
-        EXPECT_EQ(events[i].site_op, first_events[i].site_op);
-      }
-    }
-  }
+  std::ostringstream out;
+  EXPECT_EQ(chaos::run(*chaos::find("retry-accounting"), out), 0)
+      << out.str();
 }
 
 // ---------------------------------------------- transfer retry / budget --

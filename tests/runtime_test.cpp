@@ -6,9 +6,7 @@
 #include "lmo/runtime/generator.hpp"
 #include "lmo/runtime/kv_cache.hpp"
 #include "lmo/runtime/mempool.hpp"
-#include "lmo/parallel/parallelism_search.hpp"
 #include "lmo/runtime/offload_manager.hpp"
-#include "lmo/runtime/profiler.hpp"
 #include "lmo/runtime/transformer.hpp"
 #include "lmo/util/check.hpp"
 
@@ -338,41 +336,6 @@ TEST(Generator, HeadParallelAttentionBitIdentical) {
       {5, 9, 2, 7, 1, 33, 21, 60}, {40, 41, 42, 43}};
   EXPECT_EQ(g_serial.generate(prompts, 12).tokens,
             g_threaded.generate(prompts, 12).tokens);
-}
-
-TEST(Profiler, MeasuresRealKernelAndFeedsAlgorithm3) {
-  const auto spec = model::ModelSpec::tiny(2, 32, 4, 64);
-  model::AttentionGraphParams params{.hidden = spec.hidden, .seq_len = 16,
-                                     .batch = 2, .num_batches = 1,
-                                     .kv_bits = 16};
-  const auto graph = model::build_attention_graph(params);
-
-  ProfileOptions options;
-  options.seq_len = 12;
-  options.batch = 2;
-  options.repeats = 2;
-  const auto db =
-      profile_attention_op(spec, graph, {1, 2}, options);
-
-  // Raw layer-step measurement plus per-op apportioned entries.
-  EXPECT_GT(db.lookup("decode_layer_step", 1), 0.0);
-  EXPECT_GT(db.lookup("decode_layer_step", 2), 0.0);
-  double op_sum = 0.0;
-  for (std::size_t i = 0; i < graph.size(); ++i) {
-    const auto& name = graph.node(static_cast<model::OpId>(i)).name;
-    EXPECT_TRUE(db.has(name, 1)) << name;
-    op_sum += db.lookup(name, 1);
-  }
-  EXPECT_NEAR(op_sum, db.lookup("decode_layer_step", 1), 1e-9);
-
-  // The measured DB plugs into Algorithm 3 as overrides.
-  parallel::SearchInput input;
-  input.compute_graph = graph;
-  input.io_bytes = {1e6, 0.0, 1e4, 0.0, 1e4};
-  input.platform = hw::Platform::a100_single();
-  input.max_threads = 16;
-  const auto plan = parallel::find_optimal_parallelism(input, &db);
-  EXPECT_TRUE(plan.valid);
 }
 
 TEST(Generator, PoolExhaustionSurfacesAsError) {

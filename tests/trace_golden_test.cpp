@@ -10,15 +10,14 @@
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "lmo/chaos/drill.hpp"
 #include "lmo/runtime/generator.hpp"
-#include "lmo/runtime/offload_manager.hpp"
-#include "lmo/telemetry/metrics.hpp"
 #include "lmo/telemetry/trace.hpp"
-#include "lmo/util/fault.hpp"
 
 namespace lmo::telemetry {
 namespace {
@@ -230,56 +229,16 @@ TEST(TraceGolden, SerialRunStillCoversEveryTaskName) {
 
 // Timing gauges (names ending ".seconds") are wall-clock measurements and
 // legitimately vary; everything else in the registry must be bit-stable
-// under a fixed fault seed.
-bool is_timing_metric(const std::string& name) {
-  const std::string suffix = ".seconds";
-  return name.size() >= suffix.size() &&
-         name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
-}
-
+// under a fixed fault seed. The retry-accounting drill of the lmo/chaos
+// table runs the faulted generation twice and compares the registries.
 TEST(TraceGolden, ChaosRegistrySnapshotsAreDeterministic) {
-  std::vector<MetricsSnapshot> snapshots;
-  std::vector<std::vector<std::vector<std::int64_t>>> tokens;
-  for (int run = 0; run < 2; ++run) {
-    util::ScopedFaultInjection chaos(2024);
-    util::FaultSpec spec;
-    spec.fail_probability = 0.05;
-    spec.window_begin = 10;
-    spec.window_end = 14;
-    spec.latency_seconds = 1e-4;
-    chaos.arm("offload.fetch.transfer", spec);
-
-    runtime::RuntimeConfig config;
-    config.spec = model::ModelSpec::tiny(2, 32, 4, 64);
-    config.weight_bits = 8;
-    config.quant_group = 16;
-    config.device_layers = 0;
-    config.prefetch_threads = 0;  // keep the op-index sequence serial
-    config.recovery.max_transfer_attempts = 4;
-    config.recovery.retry_backoff_seconds = 1e-6;
-    runtime::Generator generator(config);
-    const auto result = generator.generate({{1, 2, 3}}, 8);
-    tokens.push_back(result.tokens);
-    snapshots.push_back(generator.manager().metrics().snapshot());
-  }
-
-  EXPECT_EQ(tokens[0], tokens[1]);
-  ASSERT_EQ(snapshots[0].samples.size(), snapshots[1].samples.size());
-  bool saw_retries = false;
-  for (std::size_t i = 0; i < snapshots[0].samples.size(); ++i) {
-    const MetricSample& a = snapshots[0].samples[i];
-    const MetricSample& b = snapshots[1].samples[i];
-    ASSERT_EQ(a.name, b.name);
-    ASSERT_EQ(a.type, b.type);
-    if (is_timing_metric(a.name)) continue;
-    EXPECT_EQ(a.count, b.count) << a.name;
-    EXPECT_DOUBLE_EQ(a.value, b.value) << a.name;
-    if (a.name == "offload.transfer.retries" && a.count > 0) {
-      saw_retries = true;
-    }
-  }
-  EXPECT_TRUE(saw_retries) << "fault profile never fired";
+  std::ostringstream out;
+  EXPECT_EQ(chaos::run(*chaos::find("retry-accounting"), out), 0)
+      << out.str();
+  EXPECT_NE(out.str().find(std::string("  yes  ") +
+                           chaos::kStableMetricsIdentical),
+            std::string::npos)
+      << out.str();
 }
 
 }  // namespace
