@@ -211,9 +211,8 @@ Generator::Generator(const RuntimeConfig& config,
   }
   if (spill_store_ != nullptr) {
     // Attach before the transformer registers weights: kDisk registrations
-    // and degradation-ladder spills need the store, and the staging
-    // pipeline wants the prefetch pool (created above for that reason).
-    manager_->attach_store(spill_store_.get(), prefetch_pool_.get());
+    // and degradation-ladder spills need the store.
+    manager_->attach_store(spill_store_.get());
   }
   transformer_ = std::make_unique<Transformer>(config.spec, *manager_,
                                                config.device_layers,

@@ -25,6 +25,29 @@ telemetry::ScopedSpan task_span(const char* name) {
 
 }  // namespace
 
+const Transformer::WeightKind Transformer::kLayerWeights[10] = {
+    {"wq", &LayerWeights::wq, &model::ModelSpec::hidden,
+     &model::ModelSpec::hidden, 0.0f},
+    {"wk", &LayerWeights::wk, &model::ModelSpec::hidden,
+     &model::ModelSpec::hidden, 0.0f},
+    {"wv", &LayerWeights::wv, &model::ModelSpec::hidden,
+     &model::ModelSpec::hidden, 0.0f},
+    {"wo", &LayerWeights::wo, &model::ModelSpec::hidden,
+     &model::ModelSpec::hidden, 0.0f},
+    {"w1", &LayerWeights::w1, &model::ModelSpec::mlp_hidden,
+     &model::ModelSpec::hidden, 0.0f},
+    {"w2", &LayerWeights::w2, &model::ModelSpec::hidden,
+     &model::ModelSpec::mlp_hidden, 0.0f},
+    {"ln1_gamma", &LayerWeights::ln1_gamma, &model::ModelSpec::hidden,
+     nullptr, 1.0f},
+    {"ln1_beta", &LayerWeights::ln1_beta, &model::ModelSpec::hidden, nullptr,
+     0.0f},
+    {"ln2_gamma", &LayerWeights::ln2_gamma, &model::ModelSpec::hidden,
+     nullptr, 1.0f},
+    {"ln2_beta", &LayerWeights::ln2_beta, &model::ModelSpec::hidden, nullptr,
+     0.0f},
+};
+
 std::string Transformer::weight_name(std::int64_t layer,
                                      const std::string& kind) {
   return "layer" + std::to_string(layer) + "." + kind;
@@ -41,7 +64,6 @@ Transformer::Transformer(const model::ModelSpec& spec,
 
   util::Xoshiro256 rng(seed);
   const std::int64_t h = spec.hidden;
-  const std::int64_t h2 = spec.mlp_hidden;
   const float stddev = 0.4f / std::sqrt(static_cast<float>(h));
 
   // The embedding table is always device-resident (it is touched every
@@ -60,20 +82,14 @@ Transformer::Transformer(const model::ModelSpec& spec,
                       : layer >= spec.num_layers - disk_layers
                           ? Tier::kDisk
                           : Tier::kHost;
-    auto reg = [&](const std::string& kind, Tensor value) {
-      manager_.register_tensor(weight_name(layer, kind), std::move(value),
-                               tier);
-    };
-    reg("wq", Tensor::normal({h, h}, rng, stddev));
-    reg("wk", Tensor::normal({h, h}, rng, stddev));
-    reg("wv", Tensor::normal({h, h}, rng, stddev));
-    reg("wo", Tensor::normal({h, h}, rng, stddev));
-    reg("w1", Tensor::normal({h2, h}, rng, stddev));
-    reg("w2", Tensor::normal({h, h2}, rng, stddev));
-    reg("ln1_gamma", Tensor::full({h}, 1.0f));
-    reg("ln1_beta", Tensor::zeros({h}));
-    reg("ln2_gamma", Tensor::full({h}, 1.0f));
-    reg("ln2_beta", Tensor::zeros({h}));
+    for (const WeightKind& kind : kLayerWeights) {
+      const std::int64_t rows = spec.*kind.rows;
+      Tensor value = kind.cols == nullptr
+                         ? Tensor::full({rows}, kind.fill)
+                         : Tensor::normal({rows, spec.*kind.cols}, rng, stddev);
+      manager_.register_tensor(weight_name(layer, kind.name),
+                               std::move(value), tier);
+    }
   }
 }
 
@@ -107,16 +123,9 @@ Tensor Transformer::embed(std::span<const std::int64_t> tokens) {
 
 Transformer::LayerWeights Transformer::fetch_layer(std::int64_t layer) {
   LayerWeights w;
-  w.wq = manager_.fetch(weight_name(layer, "wq"));
-  w.wk = manager_.fetch(weight_name(layer, "wk"));
-  w.wv = manager_.fetch(weight_name(layer, "wv"));
-  w.wo = manager_.fetch(weight_name(layer, "wo"));
-  w.w1 = manager_.fetch(weight_name(layer, "w1"));
-  w.w2 = manager_.fetch(weight_name(layer, "w2"));
-  w.ln1_gamma = manager_.fetch(weight_name(layer, "ln1_gamma"));
-  w.ln1_beta = manager_.fetch(weight_name(layer, "ln1_beta"));
-  w.ln2_gamma = manager_.fetch(weight_name(layer, "ln2_gamma"));
-  w.ln2_beta = manager_.fetch(weight_name(layer, "ln2_beta"));
+  for (const WeightKind& kind : kLayerWeights) {
+    w.*kind.member = manager_.fetch(weight_name(layer, kind.name));
+  }
   return w;
 }
 
@@ -253,9 +262,10 @@ void Transformer::forward(std::vector<Tensor>& states,
 
   for (std::int64_t layer = 0; layer < spec_.num_layers; ++layer) {
     if (prefetch != nullptr && layer + 1 < spec_.num_layers) {
-      // Warm the next layer's host payloads concurrently with compute.
-      for (const char* kind : {"wq", "wk", "wv", "wo", "w1", "w2"}) {
-        (void)manager_.prefetch(weight_name(layer + 1, kind), *prefetch);
+      // Warm the next layer's weights concurrently with compute, one pool
+      // task per tensor so the loads fan out over the workers.
+      for (const WeightKind& kind : kLayerWeights) {
+        (void)manager_.prefetch(weight_name(layer + 1, kind.name), *prefetch);
       }
     }
     const LayerWeights w = fetch_layer(layer);

@@ -70,6 +70,20 @@ class Transformer {
     tensor::Tensor wq, wk, wv, wo, w1, w2;
     tensor::Tensor ln1_gamma, ln1_beta, ln2_gamma, ln2_beta;
   };
+  /// One of a layer's weight tensors: its name suffix, its LayerWeights
+  /// member and its shape in ModelSpec dimensions. Matrices [rows, cols]
+  /// start normal; vectors (cols == nullptr) start filled with `fill`.
+  struct WeightKind {
+    const char* name;
+    tensor::Tensor LayerWeights::*member;
+    std::int64_t model::ModelSpec::*rows;
+    std::int64_t model::ModelSpec::*cols;
+    float fill;
+  };
+  /// Every weight of a layer, in registration order (which fixes the RNG
+  /// draws). Registration, fetch_layer and the layer-ahead prefetch all
+  /// walk this one table.
+  static const WeightKind kLayerWeights[10];
 
   LayerWeights fetch_layer(std::int64_t layer);
   /// One layer over one sequence: attention (with cache append) + MLP.

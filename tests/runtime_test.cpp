@@ -322,6 +322,31 @@ TEST(Generator, AsyncPrefetchKeepsResultsIdentical) {
   EXPECT_GT(r_async.offload.staging_hits, 0u);
 }
 
+TEST(Generator, LayerAheadPrefetchServesEveryWeightOfLayersOneOn) {
+  // Every layer but the first is prefetched one layer ahead, all ten of
+  // its weights, disk-tier layers included. The watchdog waits forever,
+  // so every prefetch is consumed and the count is exact.
+  RuntimeConfig config = tiny_config(4, 16);
+  config.spec = model::ModelSpec::tiny(8, 32, 4, 64);
+  config.disk_layers = 2;
+  config.disk_capacity = 16u << 20;
+  config.prefetch_threads = 2;
+  config.recovery.prefetch_wait_seconds = 0.0;
+  Generator generator(config);
+  const auto r = generator.generate({{3, 1, 4}, {1, 5, 9}}, 4);
+  const OffloadStats& s = r.offload;
+  const std::uint64_t streamed = s.fetches - s.device_hits;
+  EXPECT_EQ(streamed % 80, 0u);  // 8 layers x 10 weights per forward
+  EXPECT_GT(streamed, 0u);
+  EXPECT_EQ(8 * s.staging_hits, 7 * streamed);
+  EXPECT_EQ(s.sync_fallbacks, 0u);
+  // The disk layers are the back two, always prefetched: the main thread
+  // never reads the store.
+  const auto snap = generator.manager().metrics().snapshot();
+  EXPECT_EQ(snap.counter("store.prefetch.misses"), 0u);
+  EXPECT_EQ(snap.counter("store.prefetch.hits"), streamed / 80 * 20);
+}
+
 TEST(Generator, HeadParallelAttentionBitIdentical) {
   // Heads are independent, so intra-op parallel attention must reproduce
   // the serial tokens exactly — any drift means a data race.
